@@ -20,7 +20,7 @@ void BM_Algorithm1(benchmark::State& state) {
     const auto bits = static_cast<std::size_t>(state.range(0));
     const BigInt a = random_bits(rng, bits);
     const BigInt b = random_bits(rng, bits);
-    const ToomPlan plan = ToomPlan::make(3);
+    const ToomPlan& plan = ToomPlan::make(3);
     ToomOptions opts;
     opts.threshold_bits = 2048;
     std::uint64_t ops = 0;
@@ -38,7 +38,7 @@ void BM_Algorithm2_Lazy(benchmark::State& state) {
     const auto bits = static_cast<std::size_t>(state.range(0));
     const BigInt a = random_bits(rng, bits);
     const BigInt b = random_bits(rng, bits);
-    const ToomPlan plan = ToomPlan::make(3);
+    const ToomPlan& plan = ToomPlan::make(3);
     LazyOptions opts;
     opts.digit_bits = 512;
     opts.base_len = 3;

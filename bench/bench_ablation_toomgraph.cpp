@@ -32,7 +32,7 @@ std::vector<BigInt> interpolation_instance(const ToomPlan& plan,
 
 template <int K>
 void BM_InterpDense(benchmark::State& state) {
-    const ToomPlan plan = ToomPlan::make(K);
+    const ToomPlan& plan = ToomPlan::make(K);
     const auto vals =
         interpolation_instance(plan, static_cast<std::size_t>(state.range(0)), 3);
     std::uint64_t ops = 0;
@@ -50,7 +50,7 @@ BENCHMARK(BM_InterpDense<5>)->Arg(1 << 10)->Arg(1 << 14);
 
 template <int K>
 void BM_InterpToomGraph(benchmark::State& state) {
-    const ToomPlan plan = ToomPlan::make(K);
+    const ToomPlan& plan = ToomPlan::make(K);
     const InversionSequence seq = inversion_sequence_for(plan);
     const auto vals =
         interpolation_instance(plan, static_cast<std::size_t>(state.range(0)), 3);
@@ -76,7 +76,7 @@ void BM_MultiplyDenseInterp(benchmark::State& state) {
     Rng rng{31};
     const BigInt a = random_bits(rng, 1 << 17);
     const BigInt b = random_bits(rng, 1 << 17);
-    const ToomPlan plan = ToomPlan::make(K);
+    const ToomPlan& plan = ToomPlan::make(K);
     ToomOptions opts;
     opts.threshold_bits = 2048;
     for (auto _ : state) {
@@ -91,7 +91,7 @@ void BM_MultiplyToomGraph(benchmark::State& state) {
     Rng rng{31};
     const BigInt a = random_bits(rng, 1 << 17);
     const BigInt b = random_bits(rng, 1 << 17);
-    const ToomPlan plan = ToomPlan::make(K);
+    const ToomPlan& plan = ToomPlan::make(K);
     const InversionSequence seq = inversion_sequence_for(plan);
     ToomOptions opts;
     opts.threshold_bits = 2048;

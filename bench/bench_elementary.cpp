@@ -13,15 +13,10 @@
 namespace ftmul {
 namespace {
 
-const ToomPlan& plan3() {
-    static const ToomPlan plan = ToomPlan::make(3);
-    return plan;
-}
-
 BigInt toom_mul(const BigInt& x, const BigInt& y) {
     ToomOptions opts;
     opts.threshold_bits = 3072;
-    return toom_multiply(x, y, plan3(), opts);
+    return toom_multiply(x, y, ToomPlan::make(3), opts);
 }
 
 void BM_DivKnuth(benchmark::State& state) {

@@ -183,7 +183,7 @@ void toom_end_to_end_table(bench::JsonReport& report, bool smoke) {
     const std::size_t limbs = smoke ? 512 : 4096;
     const BigInt a = random_bits(rng, limbs * 64);
     const BigInt b = random_bits(rng, limbs * 64);
-    const ToomPlan plan = ToomPlan::make(2);
+    const ToomPlan& plan = ToomPlan::make(2);
     const ToomOptions opts;
     BigInt r = toom_multiply(a, b, plan, opts);  // warmup
     const bool ok = r == a * b;

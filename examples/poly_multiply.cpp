@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
                 n - 1, static_cast<long long>(q));
 
     // Toom-Cook-3 convolution (exact over Z), then reduce mod q.
-    const ToomPlan plan = ToomPlan::make(3);
+    const ToomPlan& plan = ToomPlan::make(3);
     std::vector<BigInt> h = toom_convolve(plan, f, g, /*base_len=*/8);
     const BigInt qq{q};
     for (auto& c : h) c = BigInt::mod_floor(c, qq);

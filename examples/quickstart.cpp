@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
     const BigInt expect = a * b;
 
     // 1. Sequential Toom-Cook-3 (paper Algorithm 1).
-    const ToomPlan plan3 = ToomPlan::make(3);
+    const ToomPlan& plan3 = ToomPlan::make(3);
     const BigInt r1 = toom_multiply(a, b, plan3);
     std::printf("Toom-3 (Algorithm 1):            %s\n",
                 r1 == expect ? "ok" : "MISMATCH");

@@ -99,7 +99,7 @@ FtRunResult ft_poly_multiply(const BigInt& a, const BigInt& b,
 
     if (a.is_zero() || b.is_zero()) return result;
 
-    const ToomPlan tplan =
+    const ToomPlan& tplan =
         ToomPlan::make(k, static_cast<std::size_t>(f));
     Machine machine(world, plan);
     if (cfg.base.events) machine.enable_event_log();

@@ -111,7 +111,7 @@ FtSoftResult ft_soft_multiply(const BigInt& a, const BigInt& b,
     result.corruptions_injected = static_cast<int>(plan.total());
     if (a.is_zero() || b.is_zero()) return result;
 
-    const ToomPlan tplan = ToomPlan::make(k);
+    const ToomPlan& tplan = ToomPlan::make(k);
     Machine machine(world);
     core_detail::arm_transport(machine, cfg.base);
     std::vector<std::vector<BigInt>> slices(static_cast<std::size_t>(P));

@@ -250,7 +250,7 @@ ParallelRunResult parallel_toom_multiply(const BigInt& a, const BigInt& b,
         return result;
     }
 
-    const ToomPlan plan = ToomPlan::make(cfg.k);
+    const ToomPlan& plan = ToomPlan::make(cfg.k);
     Machine machine(shape.processors);
     if (cfg.trace) machine.enable_tracing();
     if (cfg.events) machine.enable_event_log();

@@ -57,7 +57,7 @@ FtRunResult replicated_toom_multiply(const BigInt& a, const BigInt& b,
     result.faults_injected = static_cast<int>(plan.total_faults());
     if (a.is_zero() || b.is_zero()) return result;
 
-    const ToomPlan tplan = ToomPlan::make(cfg.base.k);
+    const ToomPlan& tplan = ToomPlan::make(cfg.base.k);
     Machine machine(world, plan);
     if (cfg.base.events) machine.enable_event_log();
     core_detail::arm_transport(machine, cfg.base);

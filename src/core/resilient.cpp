@@ -60,7 +60,7 @@ void sequential_rung(const BigInt& a, const BigInt& b,
                      const ResilientConfig& cfg, ResilientResult& result) {
     ResilientAttempt att;
     att.strategy = "sequential-fallback";
-    const ToomPlan tplan = ToomPlan::make(cfg.base.k);
+    const ToomPlan& tplan = ToomPlan::make(cfg.base.k);
     OpsCounter::reset();
     result.product = toom_multiply(a, b, tplan);
     CostCounters c;

@@ -213,9 +213,10 @@ MultiplyOutcome MultiplyService::run_plan(const QueuedJob& job) {
     MultiplyOutcome out;
 
     if (!plan.machine) {
+        // Fetch the plan before the reset so F counts the multiply alone.
+        const ToomPlan& tplan = ToomPlan::make(3);
         OpsCounter::reset();
-        out.product = toom_multiply(job.request.a, job.request.b,
-                                    ToomPlan::make(3));
+        out.product = toom_multiply(job.request.a, job.request.b, tplan);
         CostCounters c;
         c.flops = OpsCounter::get();
         OpsCounter::reset();

@@ -1,8 +1,11 @@
 #include "toom/plan.hpp"
 
 #include <cassert>
+#include <map>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/exact_solve.hpp"
 
@@ -34,9 +37,29 @@ InterpOperator interp_for_points(const std::vector<EvalPoint>& pts, int k) {
 
 }  // namespace
 
-ToomPlan ToomPlan::make(int k, std::size_t redundancy) {
-    return from_points(
-        k, standard_points(static_cast<std::size_t>(2 * k - 1) + redundancy));
+const ToomPlan& ToomPlan::make(int k, std::size_t redundancy) {
+    // Checked here, not only in from_points: the point count below would
+    // wrap for k < 1.
+    if (k < 2) throw std::invalid_argument("ToomPlan: k must be >= 2");
+
+    // Heap-allocated and never freed, so plans stay valid through static
+    // destruction for any thread still holding a reference at exit.
+    struct Cache {
+        std::mutex mu;
+        std::map<std::pair<int, std::size_t>, ToomPlan> plans;
+    };
+    static Cache& cache = *new Cache;
+
+    const std::lock_guard<std::mutex> lock(cache.mu);
+    const std::pair<int, std::size_t> key{k, redundancy};
+    auto it = cache.plans.find(key);
+    if (it == cache.plans.end()) {
+        const std::size_t npts =
+            static_cast<std::size_t>(2 * k - 1) + redundancy;
+        it = cache.plans.emplace(key, from_points(k, standard_points(npts)))
+                 .first;
+    }
+    return it->second;
 }
 
 ToomPlan ToomPlan::from_points(int k, std::vector<EvalPoint> pts) {

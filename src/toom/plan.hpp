@@ -22,11 +22,16 @@ class ToomPlan {
 public:
     /// Standard plan: k >= 2, the classic point sequence {0, inf, 1, -1, 2,
     /// ...}, plus @p redundancy extra points from the same sequence.
-    static ToomPlan make(int k, std::size_t redundancy = 0);
+    ///
+    /// Memoized: the first call per (k, redundancy) builds the plan (an
+    /// exact rational inversion) under a lock; every call returns the same
+    /// immutable object, which lives until the process exits. Throws
+    /// std::invalid_argument for k < 2.
+    static const ToomPlan& make(int k, std::size_t redundancy = 0);
 
     /// Plan over caller-chosen points (must be pairwise projectively
     /// distinct, at least 2k-1 of them). Throws std::invalid_argument
-    /// otherwise.
+    /// otherwise. Not memoized: every call builds a fresh plan.
     static ToomPlan from_points(int k, std::vector<EvalPoint> pts);
 
     int k() const noexcept { return k_; }

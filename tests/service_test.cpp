@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "bigint/ops_counter.hpp"
 #include "bigint/random.hpp"
 #include "service/report.hpp"
 #include "toom/sequential.hpp"
@@ -298,6 +299,26 @@ TEST(Service, BatchesCompatibleSmallRequests) {
     EXPECT_LE(stats.batches, 24u);
     // Dispatch rounds account for every request exactly once.
     EXPECT_GE(stats.batches, (24u + 7u) / 8u);
+}
+
+TEST(Service, SequentialChargeExcludesPlanConstruction) {
+    // A sequential request is charged the multiply alone, as the ladder's
+    // sequential rung is: building the Toom plan is not its arithmetic.
+    Rng rng{308};
+    MultiplyRequest req = make_request(rng, 1024, ReliabilityClass::Fast);
+    const ToomPlan& plan = ToomPlan::make(3);
+    OpsCounter::reset();
+    const BigInt expect = toom_multiply(req.a, req.b, plan);
+    const std::uint64_t bare = OpsCounter::get();
+
+    MultiplyService service;
+    const MultiplyOutcome out = service.submit(std::move(req)).get();
+    service.shutdown(/*drain=*/true);
+    ASSERT_EQ(out.status, OutcomeStatus::Completed) << out.error;
+    EXPECT_EQ(out.engine, "sequential");
+    EXPECT_EQ(out.product, expect);
+    EXPECT_EQ(out.stats.critical.flops, bare);
+    EXPECT_EQ(out.stats.aggregate.flops, bare);
 }
 
 TEST(Service, ChaosUnderLoadNeverDeliversAWrongProduct) {

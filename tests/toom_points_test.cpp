@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "linalg/exact_solve.hpp"
 #include "toom/plan.hpp"
@@ -87,12 +91,76 @@ TEST(EvaluationMatrix, EverySubsetInvertible) {
 
 TEST(ToomPlan, RejectsBadInput) {
     EXPECT_THROW(ToomPlan::make(1), std::invalid_argument);
+    EXPECT_THROW(ToomPlan::make(0), std::invalid_argument);
+    EXPECT_THROW(ToomPlan::make(-1), std::invalid_argument);
     EXPECT_THROW(ToomPlan::from_points(2, {{0, 1}, {1, 1}}),
                  std::invalid_argument);
     EXPECT_THROW(ToomPlan::from_points(2, {{0, 1}, {1, 1}, {2, 2}}),
                  std::invalid_argument);  // (1,1) ~ (2,2)
     EXPECT_THROW(ToomPlan::from_points(2, {{0, 1}, {0, 0}, {1, 1}}),
                  std::invalid_argument);
+}
+
+TEST(ToomPlan, MakeReturnsOneObjectPerKey) {
+    const ToomPlan& p3 = ToomPlan::make(3);
+    const ToomPlan& p3r2 = ToomPlan::make(3, 2);
+    EXPECT_EQ(&ToomPlan::make(3), &p3);
+    EXPECT_EQ(&ToomPlan::make(3, 0), &p3);
+    EXPECT_EQ(&ToomPlan::make(3, 2), &p3r2);
+    EXPECT_NE(&p3, &p3r2);
+    EXPECT_EQ(p3.redundancy(), 0u);
+    EXPECT_EQ(p3r2.redundancy(), 2u);
+}
+
+TEST(ToomPlan, CachedPlanMatchesFreshBuild) {
+    for (int k = 2; k <= 5; ++k) {
+        for (std::size_t r = 0; r <= 2; ++r) {
+            const ToomPlan& cached = ToomPlan::make(k, r);
+            const ToomPlan fresh = ToomPlan::from_points(
+                k, standard_points(static_cast<std::size_t>(2 * k - 1) + r));
+            EXPECT_EQ(cached.points(), fresh.points()) << k << "," << r;
+            EXPECT_EQ(cached.eval_matrix(), fresh.eval_matrix());
+            EXPECT_EQ(cached.interpolation().numerators(),
+                      fresh.interpolation().numerators());
+            EXPECT_EQ(cached.interpolation().denominators(),
+                      fresh.interpolation().denominators());
+        }
+    }
+}
+
+TEST(ToomPlan, ConcurrentMakeBuildsOnePlanPerKey) {
+    // No other test here builds these keys, so they are cold even when the
+    // whole binary runs in one process. All threads start at once, each in
+    // a different key order, so first builds race each other on the cache.
+    const std::vector<std::pair<int, std::size_t>> keys = {
+        {2, 3}, {2, 4}, {3, 3}, {3, 4}, {4, 3}, {5, 3}};
+    constexpr std::size_t kThreads = 8;
+    std::vector<std::vector<const ToomPlan*>> seen(
+        kThreads, std::vector<const ToomPlan*>(keys.size()));
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            while (!go.load(std::memory_order_acquire)) {
+                std::this_thread::yield();
+            }
+            for (std::size_t i = 0; i < keys.size(); ++i) {
+                const std::size_t j = (i + t) % keys.size();
+                seen[t][j] = &ToomPlan::make(keys[j].first, keys[j].second);
+            }
+        });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& th : threads) th.join();
+
+    for (std::size_t j = 0; j < keys.size(); ++j) {
+        const ToomPlan* plan = &ToomPlan::make(keys[j].first, keys[j].second);
+        EXPECT_EQ(plan->k(), keys[j].first);
+        EXPECT_EQ(plan->redundancy(), keys[j].second);
+        for (std::size_t t = 0; t < kThreads; ++t) {
+            EXPECT_EQ(seen[t][j], plan) << "thread " << t << ", key " << j;
+        }
+    }
 }
 
 TEST(ToomPlan, ShapeAndRedundancy) {

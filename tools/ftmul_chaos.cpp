@@ -854,7 +854,7 @@ int main(int argc, char** argv) {
     proto.faults = 1;
     proto.fused_steps = 2;
 
-    const ToomPlan ref_plan = ToomPlan::make(3);
+    const ToomPlan& ref_plan = ToomPlan::make(3);
     const FaultInjector injector(opt.seed);
 
     // The trial grid: (category-specific combos) x rates, trials distributed
