@@ -10,8 +10,6 @@
 
 namespace ftmul {
 
-thread_local std::uint64_t OpsCounter::tally_ = 0;
-
 namespace {
 
 detail::Limbs mag_of_u64(std::uint64_t v) {

@@ -5,6 +5,8 @@
 #include <bit>
 #include <cassert>
 #include <cstring>
+#include <new>
+#include <utility>
 
 #include "bigint/limb_arena.hpp"
 #include "bigint/ops_counter.hpp"
@@ -344,6 +346,40 @@ constexpr std::size_t kMulBlockLimbs = 2048;
 constexpr std::size_t kAddmul4MinRow = 128;
 
 }  // namespace
+
+Limbs::Limbs(std::vector<u64>&& v) : Limbs() {
+    if (v.size() > kInline) {
+        const std::size_t n = v.size();
+        set_heap(std::move(v));
+        size_ = n;
+    } else {
+        assign(v.data(), v.data() + v.size());
+    }
+}
+
+void Limbs::grow(std::size_t n) {
+    reserve(std::max(n, 2 * capacity()));
+}
+
+void Limbs::reserve(std::size_t n) {
+    if (n <= capacity()) return;
+    std::vector<u64> buf;
+    buf.reserve(n);
+    buf.assign(data_, data_ + size_);
+    buf.resize(n);
+    set_heap(std::move(buf));
+}
+
+void Limbs::assign_spill(std::size_t n, u64 v) {
+    set_heap(std::vector<u64>(n, v));
+    size_ = n;
+}
+
+void Limbs::assign_spill(const u64* first, std::size_t n) {
+    // Copy before the old block goes: the range may lie inside it.
+    set_heap(std::vector<u64>(first, first + n));
+    size_ = n;
+}
 
 void normalize(Limbs& a) {
     while (!a.empty() && a.back() == 0) a.pop_back();

@@ -1,14 +1,179 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
+#include <memory>
+#include <new>
+#include <utility>
 #include <vector>
 
 namespace ftmul::detail {
 
 /// Magnitude of a big integer: little-endian 64-bit limbs, normalized so the
-/// most significant limb is nonzero. The empty vector represents zero.
-using Limbs = std::vector<std::uint64_t>;
+/// most significant limb is nonzero. The empty buffer represents zero.
+///
+/// A vector-like limb buffer with small-buffer storage: up to kInline limbs
+/// live inside the object, larger values spill to a heap std::vector. Toom
+/// digit coefficients are one to three limbs, and giving each its own heap
+/// block made malloc the hot path of every leaf (docs/PERFORMANCE.md,
+/// "Small-buffer limbs").
+///
+/// Semantics follow std::vector<std::uint64_t> wherever the kernels can see
+/// them: value-initializing constructors and resize(), contiguous storage,
+/// capacity kept across shrinking, and copies and assign() that allocate
+/// exactly the size they need. Growth through resize()/push_back() is
+/// geometric. Moving a spilled buffer transfers its heap block; moving an
+/// inline one copies its limbs. Either way the source is left empty. A
+/// spilled buffer stays on the heap until it is moved from or destroyed.
+class Limbs {
+public:
+    using value_type = std::uint64_t;
+    using iterator = std::uint64_t*;
+    using const_iterator = const std::uint64_t*;
+    using const_reverse_iterator = std::reverse_iterator<const_iterator>;
+
+    /// Limbs held without a heap allocation. Three limbs take exactly the
+    /// space of the std::vector they share a union with, so the third costs
+    /// nothing over two. They hold every Toom leaf coefficient at 32- and
+    /// 64-bit digits.
+    static constexpr std::size_t kInline = 3;
+
+    Limbs() noexcept : data_(inline_) {}
+    explicit Limbs(std::size_t n, std::uint64_t v = 0) : Limbs() { assign(n, v); }
+    Limbs(std::initializer_list<std::uint64_t> il) : Limbs() {
+        assign(il.begin(), il.end());
+    }
+    template <std::contiguous_iterator It>
+    Limbs(It first, It last) : Limbs() {
+        assign(std::to_address(first), std::to_address(last));
+    }
+    /// Takes over @p v's heap block when it is larger than kInline limbs
+    /// (no copy); shorter vectors are copied inline.
+    explicit Limbs(std::vector<std::uint64_t>&& v);
+
+    Limbs(const Limbs& o) : Limbs() { assign(o.begin(), o.end()); }
+    Limbs(Limbs&& o) noexcept : Limbs() { take(o); }
+    Limbs& operator=(const Limbs& o) {
+        if (this != &o) assign(o.begin(), o.end());
+        return *this;
+    }
+    Limbs& operator=(Limbs&& o) noexcept {
+        if (this != &o) take(o);
+        return *this;
+    }
+    ~Limbs() {
+        if (on_heap()) heap_.~vector();
+    }
+
+    std::uint64_t* data() noexcept { return data_; }
+    const std::uint64_t* data() const noexcept { return data_; }
+    std::size_t size() const noexcept { return size_; }
+    bool empty() const noexcept { return size_ == 0; }
+    std::size_t capacity() const noexcept {
+        return on_heap() ? heap_.size() : kInline;
+    }
+    /// True when the limbs live in a heap block rather than in the object.
+    bool on_heap() const noexcept { return data_ != inline_; }
+
+    std::uint64_t& operator[](std::size_t i) noexcept { return data_[i]; }
+    const std::uint64_t& operator[](std::size_t i) const noexcept { return data_[i]; }
+    std::uint64_t& back() noexcept { return data_[size_ - 1]; }
+    const std::uint64_t& back() const noexcept { return data_[size_ - 1]; }
+
+    iterator begin() noexcept { return data_; }
+    iterator end() noexcept { return data_ + size_; }
+    const_iterator begin() const noexcept { return data_; }
+    const_iterator end() const noexcept { return data_ + size_; }
+    const_reverse_iterator rbegin() const noexcept {
+        return const_reverse_iterator(end());
+    }
+    const_reverse_iterator rend() const noexcept {
+        return const_reverse_iterator(begin());
+    }
+
+    void clear() noexcept { size_ = 0; }
+    void pop_back() noexcept { --size_; }
+    void push_back(std::uint64_t v) {
+        if (size_ == capacity()) grow(size_ + 1);
+        data_[size_++] = v;
+    }
+    /// New limbs are set to @p v.
+    void resize(std::size_t n, std::uint64_t v = 0) {
+        if (n > size_) {
+            if (n > capacity()) grow(n);
+            std::fill(data_ + size_, data_ + n, v);
+        }
+        size_ = n;
+    }
+    /// Capacity of exactly @p n limbs when more than the current one.
+    void reserve(std::size_t n);
+    void assign(std::size_t n, std::uint64_t v) {
+        if (n > capacity()) {
+            assign_spill(n, v);
+            return;
+        }
+        std::fill_n(data_, n, v);
+        size_ = n;
+    }
+    /// [first, last) may lie inside this buffer.
+    void assign(const std::uint64_t* first, const std::uint64_t* last) {
+        const auto n = static_cast<std::size_t>(last - first);
+        if (n > capacity()) {
+            assign_spill(first, n);
+            return;
+        }
+        // A range inside this buffer starts at or after data_, so a forward
+        // copy is safe.
+        for (std::size_t i = 0; i < n; ++i) data_[i] = first[i];
+        size_ = n;
+    }
+
+    friend bool operator==(const Limbs& a, const Limbs& b) noexcept {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+private:
+    /// Geometric growth to at least @p n limbs, keeping the contents.
+    void grow(std::size_t n);
+    /// Make @p buf the heap block; buf.size() becomes the capacity.
+    void set_heap(std::vector<std::uint64_t>&& buf) noexcept {
+        if (on_heap()) {
+            heap_ = std::move(buf);
+        } else {
+            new (&heap_) std::vector<std::uint64_t>(std::move(buf));
+        }
+        data_ = heap_.data();
+    }
+    /// Move-assign body: steal o's heap block or copy its inline limbs.
+    void take(Limbs& o) noexcept {
+        if (o.on_heap()) {
+            set_heap(std::move(o.heap_));
+            size_ = o.size_;
+            o.heap_.~vector();
+            o.data_ = o.inline_;
+        } else {
+            // o.size_ <= kInline <= capacity(): no allocation.
+            for (std::size_t i = 0; i < o.size_; ++i) data_[i] = o.data_[i];
+            size_ = o.size_;
+        }
+        o.size_ = 0;
+    }
+    /// assign() of n > capacity() limbs into an exact-size heap block.
+    void assign_spill(const std::uint64_t* first, std::size_t n);
+    void assign_spill(std::size_t n, std::uint64_t v);
+
+    std::uint64_t* data_;  // inline_ or heap_.data()
+    std::size_t size_ = 0;
+    union {
+        std::uint64_t inline_[kInline];
+        // Active iff on_heap(); its size() is the capacity, not size_.
+        std::vector<std::uint64_t> heap_;
+    };
+};
 
 /// Drop trailing (most-significant) zero limbs.
 void normalize(Limbs& a);

@@ -22,7 +22,10 @@ public:
     static void reset() noexcept { tally_ = 0; }
 
 private:
-    static thread_local std::uint64_t tally_;
+    // Defined inline so every translation unit sees the constant initializer
+    // and reads the slot directly, not through a TLS init wrapper: GCC 12's
+    // UBSan reports some wrapper accesses as loads of a null pointer.
+    static inline thread_local std::uint64_t tally_ = 0;
 };
 
 }  // namespace ftmul

@@ -4,6 +4,20 @@
 
 namespace ftmul {
 
+namespace {
+
+/// The sign word of a value with @p n limbs as serialize_bigint writes it:
+/// -1, 0 or +1, and 0 only for an empty magnitude.
+int decode_sign(std::uint64_t w, std::size_t n) {
+    const auto sign = static_cast<std::int64_t>(w);
+    if (sign < -1 || sign > 1 || (sign == 0 && n != 0)) {
+        throw std::runtime_error("deserialize_bigint: bad sign word");
+    }
+    return static_cast<int>(sign);
+}
+
+}  // namespace
+
 std::size_t serialize_bigint(const BigInt& v, std::vector<std::uint64_t>& out) {
     const std::size_t start = out.size();
     out.push_back(static_cast<std::uint64_t>(static_cast<std::int64_t>(v.sign())));
@@ -17,15 +31,17 @@ BigInt deserialize_bigint(std::span<const std::uint64_t> words, std::size_t& pos
     if (pos + 2 > words.size()) {
         throw std::runtime_error("deserialize_bigint: truncated header");
     }
-    const int sign = static_cast<int>(static_cast<std::int64_t>(words[pos++]));
+    const std::uint64_t sign_word = words[pos++];
     const std::size_t n = words[pos++];
-    if (pos + n > words.size()) {
+    const int sign = decode_sign(sign_word, n);
+    // Compared against the remainder, not as pos + n: n comes off the wire
+    // and pos + n wraps for n near 2^64.
+    if (n > words.size() - pos) {
         throw std::runtime_error("deserialize_bigint: truncated payload");
     }
-    detail::Limbs mag(words.begin() + static_cast<std::ptrdiff_t>(pos),
-                      words.begin() + static_cast<std::ptrdiff_t>(pos + n));
+    const std::uint64_t* first = words.data() + pos;
     pos += n;
-    return BigInt::from_parts(sign, std::move(mag));
+    return BigInt::from_parts(sign, detail::Limbs(first, first + n));
 }
 
 std::vector<std::uint64_t> serialize_vec(std::span<const BigInt> values) {
@@ -52,6 +68,11 @@ std::vector<BigInt> deserialize_vec(std::span<const std::uint64_t> words) {
     std::size_t pos = 0;
     if (words.empty()) throw std::runtime_error("deserialize_vec: empty buffer");
     const std::size_t count = words[pos++];
+    // Every value takes at least its two header words, so a count beyond
+    // that is truncated (and must not size the reservation).
+    if (count > (words.size() - pos) / 2) {
+        throw std::runtime_error("deserialize_vec: truncated buffer");
+    }
     std::vector<BigInt> out;
     out.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
@@ -69,10 +90,10 @@ std::vector<BigInt> deserialize_vec_adopt(std::vector<std::uint64_t>&& words) {
     if (adoptable_frame(words)) {
         // Single large value: shift the 3-word header ([count, sign, limbs])
         // out of the way and hand the storage itself to the BigInt.
-        const int sign = static_cast<int>(static_cast<std::int64_t>(words[1]));
+        const int sign = decode_sign(words[1], words[2]);
         words.erase(words.begin(), words.begin() + 3);
         std::vector<BigInt> out;
-        out.push_back(BigInt::from_parts(sign, std::move(words)));
+        out.push_back(BigInt::from_parts(sign, detail::Limbs(std::move(words))));
         return out;
     }
     return deserialize_vec(words);

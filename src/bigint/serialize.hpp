@@ -16,13 +16,16 @@ namespace ftmul {
 /// Append the encoding of @p v to @p out; returns words appended.
 std::size_t serialize_bigint(const BigInt& v, std::vector<std::uint64_t>& out);
 
-/// Decode one BigInt starting at @p pos; advances @p pos past it.
+/// Decode one BigInt starting at @p pos; advances @p pos past it. Throws
+/// std::runtime_error when the value runs past the buffer or its sign word
+/// is not -1, 0 or +1 (0 only with no limbs).
 BigInt deserialize_bigint(std::span<const std::uint64_t> words, std::size_t& pos);
 
 /// Encode a whole vector: [count, value, value, ...].
 std::vector<std::uint64_t> serialize_vec(std::span<const BigInt> values);
 
-/// Decode a vector encoded by serialize_vec.
+/// Decode a vector encoded by serialize_vec. Throws std::runtime_error on a
+/// malformed buffer, including a count the buffer cannot hold.
 std::vector<BigInt> deserialize_vec(std::span<const std::uint64_t> words);
 
 /// Exact word count serialize_vec would produce for @p values. Lets a caller

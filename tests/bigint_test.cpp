@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "bigint/limb_ops.hpp"
 #include "bigint/ops_counter.hpp"
@@ -255,6 +257,36 @@ TEST(BigInt, SerializeTruncatedThrows) {
     auto words = serialize_vec(values);
     words.pop_back();
     EXPECT_THROW(deserialize_vec(words), std::runtime_error);
+
+    constexpr std::uint64_t kMax = UINT64_MAX;
+    const std::vector<std::vector<std::uint64_t>> malformed{
+        {1, 1, kMax},         // limb count wraps pos + n
+        {kMax, 1, 1, 42},     // value count the buffer cannot hold
+        {1, 5, 1, 42},        // sign word outside {-1, 0, 1}
+        {1, 0, 1, 42},        // zero sign with a nonzero magnitude
+    };
+    for (const auto& frame : malformed) {
+        EXPECT_THROW(deserialize_vec(frame), std::runtime_error)
+            << frame[0] << " " << frame[1] << " " << frame[2];
+    }
+    // The zero-copy path checks the sign word too.
+    std::vector<std::uint64_t> adoptable(3 + kAdoptMinWords, 1);
+    adoptable[2] = kAdoptMinWords;
+    ASSERT_TRUE(adoptable_frame(adoptable));
+    adoptable[1] = 5;
+    EXPECT_THROW(deserialize_vec_adopt(std::move(adoptable)), std::runtime_error);
+}
+
+TEST(BigInt, AdoptKeepsFrameStorage) {
+    Rng rng{kAdoptMinWords};
+    const BigInt v = -random_bits(rng, 64 * kAdoptMinWords);
+    std::vector<std::uint64_t> frame = serialize_vec(std::vector<BigInt>{v});
+    ASSERT_TRUE(adoptable_frame(frame));
+    const std::uint64_t* storage = frame.data();
+    const std::vector<BigInt> out = deserialize_vec_adopt(std::move(frame));
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0], v);
+    EXPECT_EQ(out[0].magnitude().data(), storage);
 }
 
 // ---------------------------------------------------------------------------
@@ -481,6 +513,179 @@ TEST(LimbKernels, ShiftInPlaceMatchesReference) {
         detail::shr_into(w, bits);
         EXPECT_EQ(w, a) << bits;
     }
+}
+
+// ---------------------------------------------------------------------------
+// detail::Limbs, the small-buffer limb container, against a std::vector
+// oracle. Sizes run 0..10 so every sequence crosses kInline both ways.
+// ---------------------------------------------------------------------------
+
+using Oracle = std::vector<std::uint64_t>;
+
+void expect_matches(const detail::Limbs& l, const Oracle& v, int step) {
+    ASSERT_EQ(l.size(), v.size()) << "step " << step;
+    EXPECT_TRUE(std::equal(l.begin(), l.end(), v.begin())) << "step " << step;
+    EXPECT_GE(l.capacity(), l.size()) << "step " << step;
+    EXPECT_EQ(l.on_heap(), l.capacity() > detail::Limbs::kInline)
+        << "step " << step;
+}
+
+TEST(Limbs, RandomOperationsMatchVectorOracle) {
+    Rng rng{20261017};
+    auto small = [&] { return static_cast<std::size_t>(rng.next_below(11)); };
+    for (int seq = 0; seq < 200; ++seq) {
+        detail::Limbs l[2];
+        Oracle v[2];
+        for (int step = 0; step < 60; ++step) {
+            const std::size_t i = rng.next_below(2);
+            const std::size_t j = 1 - i;
+            const std::uint64_t x = rng.next_u64();
+            switch (rng.next_below(13)) {
+                case 0: {
+                    const std::size_t n = small();
+                    l[i].resize(n, x);
+                    v[i].resize(n, x);
+                    break;
+                }
+                case 1:
+                    l[i].push_back(x);
+                    v[i].push_back(x);
+                    break;
+                case 2:
+                    if (!v[i].empty()) {
+                        l[i].pop_back();
+                        v[i].pop_back();
+                    }
+                    break;
+                case 3: {
+                    const std::size_t n = small();
+                    l[i].assign(n, x);
+                    v[i].assign(n, x);
+                    break;
+                }
+                case 4: {
+                    Oracle src(small());
+                    for (auto& w : src) w = rng.next_u64();
+                    l[i].assign(src.data(), src.data() + src.size());
+                    v[i] = src;
+                    break;
+                }
+                case 5:  // assign from a suffix of the buffer itself
+                    if (!v[i].empty()) {
+                        const std::size_t off = rng.next_below(v[i].size());
+                        l[i].assign(l[i].data() + off, l[i].data() + l[i].size());
+                        v[i].erase(v[i].begin(), v[i].begin() + off);
+                    }
+                    break;
+                case 6:
+                    l[i] = l[j];
+                    v[i] = v[j];
+                    break;
+                case 7:
+                    l[i] = std::move(l[j]);
+                    v[i] = std::move(v[j]);
+                    v[j].clear();
+                    break;
+                case 8: {
+                    detail::Limbs copy(l[j]);
+                    expect_matches(copy, v[j], step);
+                    EXPECT_EQ(copy.capacity(),
+                              std::max(detail::Limbs::kInline, v[j].size()));
+                    l[i] = std::move(copy);
+                    v[i] = v[j];
+                    break;
+                }
+                case 9: {
+                    detail::Limbs moved(std::move(l[j]));
+                    expect_matches(moved, v[j], step);
+                    l[i] = std::move(moved);
+                    v[i] = std::move(v[j]);
+                    v[j].clear();
+                    break;
+                }
+                case 10: {  // self-assignment, through an alias
+                    detail::Limbs& alias = l[i];
+                    l[i] = alias;
+                    l[i] = std::move(alias);
+                    break;
+                }
+                case 11:
+                    l[i].clear();
+                    v[i].clear();
+                    break;
+                default:
+                    l[i].reserve(small());
+                    break;
+            }
+            expect_matches(l[0], v[0], step);
+            expect_matches(l[1], v[1], step);
+            if (HasFatalFailure()) return;
+        }
+    }
+}
+
+TEST(Limbs, CopiesAllocateExactlyAndMovesTransferTheBlock) {
+    detail::Limbs big(9, 7);
+    big.resize(5);  // capacity stays 9, as with std::vector
+    EXPECT_EQ(big.capacity(), 9u);
+
+    const detail::Limbs copy(big);
+    EXPECT_EQ(copy.capacity(), 5u);
+    EXPECT_EQ(copy, big);
+
+    const std::uint64_t* block = big.data();
+    detail::Limbs moved(std::move(big));
+    EXPECT_EQ(moved.data(), block);
+    EXPECT_TRUE(big.empty());
+    EXPECT_FALSE(big.on_heap());
+
+    detail::Limbs small{1, 2};
+    detail::Limbs to_small{3};
+    to_small = std::move(moved);  // heap block into an inline object
+    EXPECT_EQ(to_small.data(), block);
+    EXPECT_FALSE(moved.on_heap());
+
+    to_small = std::move(small);  // inline limbs into a heap object
+    EXPECT_EQ(to_small, (detail::Limbs{1, 2}));
+    EXPECT_EQ(to_small.data(), block);
+    EXPECT_TRUE(small.empty());
+
+    // A vector is adopted when it spills and copied inline otherwise.
+    std::vector<std::uint64_t> vec(9, 5);
+    const std::uint64_t* vec_block = vec.data();
+    const detail::Limbs adopted(std::move(vec));
+    EXPECT_EQ(adopted.data(), vec_block);
+    const detail::Limbs short_vec(std::vector<std::uint64_t>{1, 2});
+    EXPECT_FALSE(short_vec.on_heap());
+    EXPECT_EQ(short_vec, (detail::Limbs{1, 2}));
+}
+
+TEST(Limbs, HeapToInlineMoveKeepsTheValue) {
+    Rng rng{404};
+    for (std::size_t n = 0; n <= 2 * detail::Limbs::kInline; ++n) {
+        Oracle want(n);
+        for (auto& w : want) w = rng.next_u64();
+        detail::Limbs heap(want.data(), want.data() + n);
+        heap.reserve(4 * detail::Limbs::kInline);
+        ASSERT_TRUE(heap.on_heap());
+        detail::Limbs inl;
+        inl = std::move(heap);
+        expect_matches(inl, want, static_cast<int>(n));
+        heap = std::move(inl);  // and back into the moved-from object
+        expect_matches(heap, want, static_cast<int>(n));
+        EXPECT_TRUE(inl.empty());
+    }
+}
+
+TEST(Limbs, SelfAddIntoSpillsAnInlineValue) {
+    // acc += acc on a full inline value carries into a fourth limb, so the
+    // buffer spills to the heap while it is also the addend.
+    detail::Limbs x(detail::Limbs::kInline, ~std::uint64_t{0});
+    ASSERT_FALSE(x.on_heap());
+    const detail::Limbs doubled = detail::add_reference(x, x);
+    detail::add_into(x, x);
+    EXPECT_EQ(x, doubled);
+    EXPECT_EQ(x.size(), detail::Limbs::kInline + 1);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bigint/ops_counter.hpp"
 #include "bigint/random.hpp"
 #include "toom/digits.hpp"
 #include "toom/sequential.hpp"
@@ -59,6 +60,21 @@ TEST(LazyConvolve, MatchesSchoolbookConvolutionValue) {
     auto direct = convolve_schoolbook(a, b);
     EXPECT_EQ(lazy_recompose(plan, lazy, digit_bits, len, 2),
               recompose_digits(direct, digit_bits));
+}
+
+TEST(ToomConvolve, LeafChargeIsPinned) {
+    // A leaf of a 32768-bit chaos_recovery request (k = 2 on 9 ranks): 261
+    // digits of 32 bits. The charge is the cost model's F for this leaf;
+    // changes to limb storage or the kernels must leave it exactly as is.
+    const ToomPlan& plan = ToomPlan::make(2);
+    Rng rng{261};
+    std::vector<BigInt> a, b;
+    for (int i = 0; i < 261; ++i) a.push_back(random_below_2pow(rng, 32));
+    for (int i = 0; i < 261; ++i) b.push_back(random_below_2pow(rng, 32));
+    OpsCounter::reset();
+    const std::vector<BigInt> out = toom_convolve(plan, a, b, 4);
+    EXPECT_EQ(OpsCounter::get(), 74100u);
+    EXPECT_EQ(out, convolve_schoolbook(a, b));
 }
 
 TEST(LazyMultiply, MatchesSchoolbookSmall) {
