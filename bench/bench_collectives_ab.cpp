@@ -1,14 +1,14 @@
-// Pooled-vs-legacy data-plane A/B: the same message-heavy collective and
-// all-to-all workloads run end to end under DataPlane::Pooled (recycled
-// PayloadBufs, sharded mailboxes, fused frames) and DataPlane::Legacy (the
-// seed transport: fresh vector per message, single-mutex std::map mailbox).
+// Data-plane bench: message-heavy collective and all-to-all workloads run
+// end to end on a warm Machine (recycled PayloadBufs, sharded mailboxes,
+// fused frames). The name and row names date from the pooled-vs-legacy A/B
+// this bench ran until the seed transport was removed; they are kept so the
+// committed baseline stays comparable.
 //
-// The JSON report carries only the deterministic machine-model counters —
-// which must be identical between the two planes (that identity is asserted
-// here and diffed against bench/baselines/BENCH_collectives_ab.json in CI).
-// Wall-clock and pool-allocation numbers go to stdout; set
-// FTMUL_AB_MIN_SPEEDUP (e.g. "1.2") to turn the printed speedup into a hard
-// failure gate, as the release-bench CI job does.
+// The JSON report carries only the deterministic machine-model counters,
+// diffed against bench/baselines/BENCH_collectives_ab.json in CI.
+// Wall-clock and pool-allocation numbers go to stdout. The bench fails when
+// the warmed-up runs allocate fresh buffers for more than 5% of pool
+// acquires: steady state must run out of the pool.
 
 #include <algorithm>
 #include <chrono>
@@ -42,40 +42,23 @@ void body(Rank& r, const Config& cfg) {
     const Group g = Group::strided(0, cfg.P);
     r.phase("ab-exchange");
     if (cfg.raw_words != 0) {
-        // Pure transport stress: storms of small raw messages, no BigInt
-        // work to amortize the per-message overhead. Each plane sends the
-        // way its API is meant to be used — the pooled plane stages into a
-        // recycled PayloadBuf, the legacy plane builds a fresh vector per
-        // message (what the seed send() did). Charges are identical: same
-        // message count, same word count.
+        // Pure transport stress: storms of small raw messages staged in
+        // recycled PayloadBufs, no BigInt work to amortize the per-message
+        // overhead.
         for (int round = 0; round < cfg.rounds; ++round) {
             for (int k = 0; k < 4; ++k) {
                 const int tag = (round * 4 + k) % 16;
                 for (int peer = 0; peer < cfg.P; ++peer) {
                     if (peer == r.id()) continue;
-                    if (r.data_plane() == DataPlane::Pooled) {
-                        PayloadBuf b =
-                            MsgPool::instance().acquire(cfg.raw_words);
-                        b.storage().assign(cfg.raw_words,
-                                           static_cast<std::uint64_t>(tag));
-                        r.send_buf(peer, tag, std::move(b));
-                    } else {
-                        r.send(peer, tag,
-                               std::vector<std::uint64_t>(
-                                   cfg.raw_words,
-                                   static_cast<std::uint64_t>(tag)));
-                    }
+                    PayloadBuf b = MsgPool::instance().acquire(cfg.raw_words);
+                    b.storage().assign(cfg.raw_words,
+                                       static_cast<std::uint64_t>(tag));
+                    r.send_buf(peer, tag, std::move(b));
                 }
                 for (int peer = 0; peer < cfg.P; ++peer) {
                     if (peer == r.id()) continue;
-                    if (r.data_plane() == DataPlane::Pooled) {
-                        PayloadBuf got = r.recv_buf(peer, tag);
-                        if (got.size() != cfg.raw_words) std::abort();
-                    } else {
-                        if (r.recv(peer, tag).size() != cfg.raw_words) {
-                            std::abort();
-                        }
-                    }
+                    PayloadBuf got = r.recv_buf(peer, tag);
+                    if (got.size() != cfg.raw_words) std::abort();
                 }
             }
         }
@@ -102,19 +85,18 @@ void body(Rank& r, const Config& cfg) {
     }
 }
 
-struct PlaneResult {
+struct Result {
     double best_ms = 1e30;
     RunStats stats;
     std::uint64_t fresh = 0;     ///< pool misses across all timed reps
     std::uint64_t acquires = 0;  ///< pooled acquires across all timed reps
 };
 
-/// One Machine per plane, reused across reps (threads parked, pool thread
-/// caches warm): the timing isolates the data plane, not thread spawning.
-PlaneResult measure(DataPlane dp, const Config& cfg, int reps) {
-    PlaneResult out;
+/// One Machine reused across reps (threads parked, pool thread caches
+/// warm): the timing isolates the data plane, not machine setup.
+Result measure(const Config& cfg, int reps) {
+    Result out;
     Machine m(cfg.P);
-    m.set_data_plane(dp);
     m.run([&](Rank& r) { body(r, cfg); });  // warmup
     out.stats = m.stats();
     const auto before = MsgPool::stats();
@@ -132,16 +114,6 @@ PlaneResult measure(DataPlane dp, const Config& cfg, int reps) {
     return out;
 }
 
-bool counters_equal(const RunStats& a, const RunStats& b) {
-    return a.critical.flops == b.critical.flops &&
-           a.critical.words == b.critical.words &&
-           a.critical.msgs == b.critical.msgs &&
-           a.critical.latency == b.critical.latency &&
-           a.aggregate.flops == b.aggregate.flops &&
-           a.aggregate.words == b.aggregate.words &&
-           a.aggregate.msgs == b.aggregate.msgs;
-}
-
 }  // namespace
 }  // namespace ftmul
 
@@ -157,59 +129,34 @@ int main() {
         {"large-payload", 4, 10, 32, 8192},
     };
 
-    double min_speedup = 0.0;
-    if (const char* env = std::getenv("FTMUL_AB_MIN_SPEEDUP")) {
-        min_speedup = std::atof(env);
-    }
-
-    std::printf("Data-plane A/B: identical cost-model charges, pooled "
-                "transport vs. the seed (legacy) transport.\n");
-    std::printf("%-14s %3s %6s %5s | %10s %10s | %8s | %12s %12s\n", "config",
-                "P", "rnds", "W", "legacy_ms", "pooled_ms", "speedup",
-                "fresh_allocs", "msgs");
+    std::printf("Data-plane bench: cost-model charges and steady-state pool "
+                "allocations on a warm Machine.\n");
+    std::printf("%-14s %3s %6s %5s | %10s | %12s %12s\n", "config", "P",
+                "rnds", "W", "pooled_ms", "fresh_allocs", "msgs");
 
     std::vector<bench::Row> rows;
     bool ok = true;
-    double worst_speedup = 1e9;
     for (const Config& cfg : configs) {
-        const PlaneResult pooled = measure(DataPlane::Pooled, cfg, 3);
-        const PlaneResult legacy = measure(DataPlane::Legacy, cfg, 3);
-        const double speedup = legacy.best_ms / pooled.best_ms;
-        worst_speedup = std::min(worst_speedup, speedup);
-        std::printf("%-14s %3d %6d %5zu | %10.2f %10.2f | %7.2fx | %12llu "
-                    "%12llu\n",
-                    cfg.name, cfg.P, cfg.rounds, cfg.W, legacy.best_ms,
-                    pooled.best_ms, speedup,
-                    static_cast<unsigned long long>(pooled.fresh),
-                    static_cast<unsigned long long>(
-                        legacy.stats.aggregate.msgs));
-        if (!counters_equal(pooled.stats, legacy.stats)) {
-            std::printf("FAIL: %s charges differ between data planes\n",
-                        cfg.name);
-            ok = false;
-        }
+        const Result res = measure(cfg, 3);
+        std::printf("%-14s %3d %6d %5zu | %10.2f | %12llu %12llu\n", cfg.name,
+                    cfg.P, cfg.rounds, cfg.W, res.best_ms,
+                    static_cast<unsigned long long>(res.fresh),
+                    static_cast<unsigned long long>(res.stats.aggregate.msgs));
         // Steady state must run out of the pool: the warmed-up timed runs
         // may allocate at most a trickle (spill-pool overflow under
         // transient imbalance), never per message.
-        if (pooled.acquires > 0 && pooled.fresh * 20 > pooled.acquires) {
-            std::printf("FAIL: %s pooled plane allocated %llu/%llu "
-                        "acquires in steady state\n",
-                        cfg.name,
-                        static_cast<unsigned long long>(pooled.fresh),
-                        static_cast<unsigned long long>(pooled.acquires));
+        if (res.acquires > 0 && res.fresh * 20 > res.acquires) {
+            std::printf("FAIL: %s allocated %llu/%llu acquires in steady "
+                        "state\n",
+                        cfg.name, static_cast<unsigned long long>(res.fresh),
+                        static_cast<unsigned long long>(res.acquires));
             ok = false;
         }
         rows.push_back(bench::stats_row(
             std::string("ab/") + cfg.name + "/P=" + std::to_string(cfg.P) +
                 ",rounds=" + std::to_string(cfg.rounds) +
                 ",W=" + std::to_string(cfg.W),
-            pooled.stats, cfg.P, 0, 0, true));
-    }
-
-    if (min_speedup > 0.0 && worst_speedup < min_speedup) {
-        std::printf("FAIL: worst speedup %.2fx below required %.2fx\n",
-                    worst_speedup, min_speedup);
-        ok = false;
+            res.stats, cfg.P, 0, 0, true));
     }
 
     bench::JsonReport report("collectives_ab");

@@ -225,7 +225,7 @@ void toom_end_to_end_table(bench::JsonReport& report, bool smoke) {
 }
 
 void machine_reuse_table(bench::JsonReport& report, bool smoke) {
-    bench::print_header("Machine executor: spawn-per-run vs persistent pool");
+    bench::print_header("Machine executor: persistent pool");
     const int world = 9;
     const int runs = smoke ? 20 : 60;
     const int rounds = smoke ? 3 : 5;
@@ -235,35 +235,21 @@ void machine_reuse_table(bench::JsonReport& report, bool smoke) {
         for (int i = 0; i < 8; ++i) x += x;
         rank.note_memory(8);
     };
-    Machine spawn_machine(world);
-    spawn_machine.set_thread_reuse(false);
-    Machine pool_machine(world);
-    pool_machine.set_thread_reuse(true);
-    const auto [spawn_ns, pool_ns] = ab_time_ns(
-        [&] { spawn_machine.run(body); }, [&] { pool_machine.run(body); },
-        runs, rounds);
-    // Charge identity across executors: both run the same SPMD body, so the
-    // cost model must not see the executor at all.
-    const bool same_costs =
-        spawn_machine.stats().aggregate.flops ==
-            pool_machine.stats().aggregate.flops &&
-        spawn_machine.stats().critical.flops ==
-            pool_machine.stats().critical.flops;
-    std::vector<bench::Row> rows;
-    bench::Row r0 = kernel_row("machine_run/spawn_per_run", spawn_ns,
-                               spawn_machine.stats().aggregate.flops,
-                               same_costs);
-    bench::Row r1 = kernel_row("machine_run/thread_pool", pool_ns,
-                               pool_machine.stats().aggregate.flops,
-                               same_costs);
-    r0.processors = r1.processors = world;
-    rows.push_back(r0);
-    rows.push_back(r1);
-    std::printf(
-        "machine run (world=%d): spawn %10.1f ns  pool %10.1f ns  "
-        "speedup %5.2fx  costs %s\n",
-        world, spawn_ns, pool_ns, spawn_ns / pool_ns,
-        same_costs ? "identical" : "DRIFT");
+    Machine machine(world);
+    double pool_ns = 1e300;
+    for (int r = 0; r < rounds; ++r) {
+        const auto t0 = Clock::now();
+        for (int i = 0; i < runs; ++i) machine.run(body);
+        const auto t1 = Clock::now();
+        pool_ns = std::min(
+            pool_ns,
+            std::chrono::duration<double, std::nano>(t1 - t0).count() / runs);
+    }
+    bench::Row row = kernel_row("machine_run/thread_pool", pool_ns,
+                                machine.stats().aggregate.flops, true);
+    row.processors = world;
+    const std::vector<bench::Row> rows{row};
+    std::printf("machine run (world=%d): pool %10.1f ns\n", world, pool_ns);
     bench::print_rows(rows, 0);
     report.add_table("Machine executor: run reuse", rows, 0);
 }

@@ -73,32 +73,6 @@ struct ParallelConfig {
     /// reorder). An active model implies the guard. Filled by
     /// FaultInjector::draw for chaos campaigns.
     TransportFaultModel transport_faults;
-
-    /// Fallback cap on per-(src, tag) sender-side frame retention. The
-    /// receivers' cumulative ack watermarks normally keep retention at the
-    /// true in-flight window, far below this; the cap only bites when a
-    /// stream's acks cannot flow (e.g. its receiver is gone).
-    std::size_t transport_retain_depth = 64;
-
-    /// Cap on the receiver's out-of-order stashes (recv-side early frames
-    /// and the injection shim's reorder deferrals). Exceeding it raises a
-    /// typed TransportFault(StashOverflow) instead of growing without bound.
-    std::size_t transport_stash_limit = 4096;
-
-    /// Standalone-ack cadence: when a receiver's watermark has advanced this
-    /// many frames past the last ack it published for a quiet stream, it
-    /// charges one standalone ack message to the cost model (piggybacked
-    /// acks on reverse traffic are free and keep this counter at bay).
-    std::uint64_t transport_ack_interval = 16;
-
-    /// Ack-propagation delay in rounds: retention eviction lags the
-    /// receiver's delivery watermark by this many sequence numbers, modeling
-    /// acks that take time to reach the sender instead of applying
-    /// instantly through shared memory. 0 (the default) evicts at the exact
-    /// watermark — the prior behavior, bit for bit. Larger values keep the
-    /// retained in-flight window proportionally deeper (bounded by
-    /// transport_retain_depth as before).
-    std::uint64_t transport_ack_delay_rounds = 0;
 };
 
 /// The geometry actually executed, resolved from a config and an input size.

@@ -16,13 +16,8 @@ namespace ftmul {
 namespace core_detail {
 
 void arm_transport(Machine& machine, const ParallelConfig& cfg) {
-    if (cfg.transport_guard || cfg.transport_faults.active()) {
-        machine.set_transport_guard(true);
-        machine.set_transport_retain_depth(cfg.transport_retain_depth);
-        machine.set_transport_stash_limit(cfg.transport_stash_limit);
-        machine.set_transport_ack_interval(cfg.transport_ack_interval);
-        machine.set_transport_ack_delay(cfg.transport_ack_delay_rounds);
-    }
+    if (cfg.transport_guard) machine.set_transport_guard(true);
+    // An active model arms the guard along with the injection shim.
     if (cfg.transport_faults.active()) {
         machine.set_transport_faults(cfg.transport_faults);
     }

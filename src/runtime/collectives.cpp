@@ -63,10 +63,6 @@ void add_elementwise(std::vector<BigInt>& acc, const std::vector<BigInt>& v) {
     for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += v[i];
 }
 
-}  // namespace
-
-namespace {
-
 /// A pooled copy of @p frame's words, for fanning one frame out to several
 /// children without re-serializing.
 PayloadBuf copy_frame(const PayloadBuf& frame) {
@@ -83,23 +79,12 @@ void bcast(Rank& self, const Group& g, int root, std::vector<BigInt>& data,
     static const Counter calls = collective_counter("bcast");
     calls.inc();
     const Tree tree(g, root, self.id());
-    if (self.data_plane() == DataPlane::Legacy) {
-        // Seed path: decode at every hop, re-serialize per child.
-        if (tree.has_parent()) {
-            data = self.recv_bigints(unrotate(g, root, tree.parent()), tag);
-        }
-        for (std::size_t child : tree.children()) {
-            self.send_bigints(unrotate(g, root, child), tag, data);
-        }
-        self.add_latency(tree.depth());
-        return;
-    }
     // Frame-level forwarding: the wire frame is produced once at the root
     // and flows down the tree as raw words; interior nodes memcpy it to all
     // children but the last, which takes the buffer itself. Every edge
-    // still carries one message of the same word count as the seed path, so
-    // BW/L charges are unchanged — only the per-hop decode/re-encode and
-    // its allocations disappear.
+    // carries one message of the serialized data's word count, exactly
+    // what decoding and re-sending at each hop would charge — only the
+    // per-hop decode/re-encode and its allocations are skipped.
     const std::vector<std::size_t> children = tree.children();
     PayloadBuf frame;
     if (tree.has_parent()) {
@@ -128,15 +113,10 @@ void bcast_pair(Rank& self, const Group& g, int root, std::vector<BigInt>& a,
     assert(g.contains(self.id()));
     static const Counter calls = collective_counter("bcast_pair");
     calls.inc();
-    if (self.data_plane() == DataPlane::Legacy) {
-        bcast(self, g, root, a, tag);
-        bcast(self, g, root, b, tag);
-        return;
-    }
     // Two broadcasts from the same root with the same tag, fused at the
     // transport: both frames ride one batched mailbox delivery per child
-    // (FIFO per (src, tag) keeps them ordered). Charges are those of the
-    // two seed bcasts — one message per frame per edge, 2x tree depth in
+    // (FIFO per (src, tag) keeps them ordered). Charges are those of two
+    // separate bcasts — one message per frame per edge, 2x tree depth in
     // latency.
     const Tree tree(g, root, self.id());
     const std::vector<std::size_t> children = tree.children();

@@ -5,7 +5,6 @@
 #include <limits>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "bigint/ops_counter.hpp"
 #include "bigint/serialize.hpp"
@@ -89,6 +88,10 @@ void raise_max(std::atomic<std::uint64_t>& m, std::uint64_t v) noexcept {
            !m.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
 }
+
+/// Retransmit attempts allowed per logical receive before the guard raises
+/// TransportFault(RetryExhausted).
+constexpr int kRetransmitBudget = 8;
 
 }  // namespace
 
@@ -201,8 +204,6 @@ void Rank::end_recovery() {
     }
     recovery_dead_.clear();
 }
-
-DataPlane Rank::data_plane() const noexcept { return machine_.data_plane_; }
 
 bool Rank::fails_at(std::string_view name) const {
     return machine_.plan_.fails_at(name, id_);
@@ -584,7 +585,7 @@ PayloadBuf Rank::recv_buf_guarded(int src, int tag) {
 
 PayloadBuf Rank::fetch_retransmit(int src, int tag, std::uint64_t seq,
                                   int& attempts, TransportFaultKind why) {
-    if (++attempts > machine_.transport_retry_limit_) {
+    if (++attempts > kRetransmitBudget) {
         throw TransportFault(TransportFaultKind::RetryExhausted, src, id_,
                              tag, seq,
                              "retransmit budget exhausted after " +
@@ -678,9 +679,6 @@ std::uint64_t Rank::pick_piggyback_ack(int dst) {
 }
 
 PayloadBuf Rank::frame_bigints(std::span<const BigInt> values) {
-    if (machine_.data_plane_ == DataPlane::Legacy) {
-        return PayloadBuf::adopt(serialize_vec(values));
-    }
     PayloadBuf buf = MsgPool::instance().acquire(serialized_words(values));
     serialize_vec_into(values, buf.storage());
     return buf;
@@ -702,9 +700,6 @@ void Rank::send_bigints_batch(
 
 std::vector<BigInt> Rank::recv_bigints(int src, int tag) {
     PayloadBuf buf = recv_buf(src, tag);
-    if (machine_.data_plane_ == DataPlane::Legacy) {
-        return deserialize_vec(buf.words());
-    }
     // Single large frame: adopt the buffer's storage as the BigInt's limbs
     // (worth losing the pooled buffer); otherwise decode by copy and let
     // the buffer recycle.
@@ -768,7 +763,7 @@ Machine::Machine(int world_size, FaultPlan plan)
         "per-rank words moved inside a recovery bracket");
     mailboxes_.reserve(static_cast<std::size_t>(world_size));
     for (int i = 0; i < world_size; ++i) {
-        mailboxes_.push_back(make_mailbox());
+        mailboxes_.push_back(std::make_unique<Mailbox>(world_size));
     }
     blocked_.resize(static_cast<std::size_t>(world_size));
     retain_.reserve(static_cast<std::size_t>(world_size));
@@ -897,12 +892,6 @@ std::optional<std::vector<std::uint64_t>> Machine::retained_copy(
 
 void Machine::ack_retained(int src, int dst, int tag,
                            std::uint64_t delivered) {
-    // Ack-propagation delay: eviction lags the delivery watermark by the
-    // configured round count (saturating), modeling acks in flight. The
-    // standalone-ack cadence in advance_watermark still publishes the true
-    // watermark — only when the sender acts on it is delayed.
-    const std::uint64_t effective =
-        delivered > ack_delay_ ? delivered - ack_delay_ : 0;
     std::uint64_t evicted_frames = 0;
     std::uint64_t evicted_words = 0;
     {
@@ -911,7 +900,7 @@ void Machine::ack_retained(int src, int dst, int tag,
         auto it = shard->streams.find({src, tag});
         if (it == shard->streams.end()) return;
         RetainStream& stream = it->second;
-        if (effective > stream.acked) stream.acked = effective;
+        if (delivered > stream.acked) stream.acked = delivered;
         while (!stream.frames.empty() &&
                stream.frames.front().seq < stream.acked) {
             evicted_words += stream.frames.front().buf.size();
@@ -919,8 +908,7 @@ void Machine::ack_retained(int src, int dst, int tag,
             stream.frames.pop_front();
         }
         // The watermark drained the stream: erase the map node itself —
-        // without this the nodes accumulate for the life of the machine,
-        // the same leak class LegacyMailbox::drain_residue fixed.
+        // without this the nodes accumulate for the life of the machine.
         if (stream.frames.empty()) shard->streams.erase(it);
     }
     if (evicted_frames != 0) {
@@ -963,19 +951,6 @@ std::size_t Machine::live_streams() const {
         n += shard->streams.size();
     }
     return n;
-}
-
-std::unique_ptr<MailboxBase> Machine::make_mailbox() const {
-    if (data_plane_ == DataPlane::Legacy) {
-        return std::make_unique<LegacyMailbox>();
-    }
-    return std::make_unique<Mailbox>(size_);
-}
-
-void Machine::set_data_plane(DataPlane dp) {
-    if (dp == data_plane_) return;
-    data_plane_ = dp;
-    for (auto& mb : mailboxes_) mb = make_mailbox();
 }
 
 std::size_t Machine::mailbox_live_slots(int rank) const {
@@ -1027,11 +1002,6 @@ EventLog& Machine::enable_event_log() {
     return *events_;
 }
 
-void Machine::set_thread_reuse(bool enabled) {
-    thread_reuse_ = enabled;
-    if (!enabled) pool_.reset();
-}
-
 void Machine::run(const std::function<void(Rank&)>& body) {
     metric_runs_.inc();
     ProfileScope run_timer(metric_run_us_);
@@ -1040,7 +1010,7 @@ void Machine::run(const std::function<void(Rank&)>& body) {
     if (tracer_) tracer_->clear();
     if (events_) events_->clear();
     // Fresh mailboxes per run so stale messages never leak across runs.
-    for (auto& mb : mailboxes_) mb = make_mailbox();
+    for (auto& mb : mailboxes_) mb = std::make_unique<Mailbox>(size_);
     // Likewise the transport state: retention and accounting are per run.
     release_retention();
     tcounters_->reset();
@@ -1085,21 +1055,11 @@ void Machine::run(const std::function<void(Rank&)>& body) {
         peaks[static_cast<std::size_t>(r)] = rank.peak_memory_;
     };
 
-    if (thread_reuse_) {
-        // Persistent executor: rank r always runs on pool worker r, parked
-        // between runs.
-        if (!pool_ || pool_->size() != static_cast<std::size_t>(size_)) {
-            pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(size_));
-        }
-        pool_->run([&](std::size_t i) { rank_body(static_cast<int>(i)); });
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(static_cast<std::size_t>(size_));
-        for (int r = 0; r < size_; ++r) {
-            threads.emplace_back([&, r] { rank_body(r); });
-        }
-        for (auto& t : threads) t.join();
+    // Rank r always runs on pool worker r, parked between runs.
+    if (!pool_) {
+        pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(size_));
     }
+    pool_->run([&](std::size_t i) { rank_body(static_cast<int>(i)); });
     if (first_error) std::rethrow_exception(first_error);
 
     // Post-run residue sweep: frames nobody popped — duplicates of

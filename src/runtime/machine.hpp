@@ -29,14 +29,6 @@ namespace ftmul {
 class Machine;
 class ThreadPool;
 
-/// Which transport implementation the machine routes messages through.
-/// Pooled is the zero-copy data plane (recycled PayloadBufs, per-source
-/// mailbox shards, direct-to-buffer BigInt framing); Legacy is the seed
-/// implementation (fresh vector per message, single-mutex std::map mailbox,
-/// intermediate serialize() vector), kept live as the A/B baseline for
-/// bench_collectives. Cost-model charges are identical in both.
-enum class DataPlane { Pooled, Legacy };
-
 /// Per-processor execution context handed to the SPMD body: identity,
 /// point-to-point messaging, phase/cost bookkeeping and fault queries.
 ///
@@ -49,10 +41,6 @@ class Rank {
 public:
     int id() const noexcept { return id_; }
     int size() const noexcept { return size_; }
-
-    /// Which transport the owning machine routes through (collectives pick
-    /// frame-forwarding vs. the seed's re-serializing path off this).
-    DataPlane data_plane() const noexcept;
 
     /// Begin a new cost phase. Also the fault trigger point: returns true
     /// when the fault plan kills this rank *here* — the caller must then act
@@ -195,8 +183,9 @@ private:
 
 /// A simulated P-processor distributed-memory machine: each rank runs the
 /// SPMD body on its own thread with a private mailbox; there is no shared
-/// algorithm state. Costs are gathered per rank per phase and combined into
-/// RunStats after the join.
+/// algorithm state. Rank r of every run executes on the same worker of a
+/// persistent thread pool, parked between runs. Costs are gathered per rank
+/// per phase and combined into RunStats after the join.
 class Machine {
 public:
     /// @param world_size number of processors (standard + code processors).
@@ -220,27 +209,14 @@ public:
     /// Deadlock-detection receive timeout (default 60 s).
     void set_recv_timeout(std::chrono::milliseconds t) { timeout_ = t; }
 
-    /// Reuse a persistent worker pool across run() calls (default on): rank r
-    /// of every run executes on the same parked OS thread. When off, each
-    /// run() spawns and joins fresh threads — the pre-pool behavior, kept as
-    /// the live A/B baseline for the kernels microbench.
-    void set_thread_reuse(bool enabled);
-
-    /// Select the message transport for subsequent runs (default Pooled).
-    /// DataPlane::Legacy restores the seed behavior end to end — the live
-    /// A/B baseline for bench_collectives, like set_thread_reuse(false) is
-    /// for the kernels microbench.
-    void set_data_plane(DataPlane dp);
-    DataPlane data_plane() const noexcept { return data_plane_; }
-
     /// Live (src, tag) queue slots in @p rank's mailbox — regression hook
     /// for the seed's slot-leak bug (drained slots must be reclaimed).
     std::size_t mailbox_live_slots(int rank) const;
 
     /// Arm (or disarm) the frame-integrity transport guard for subsequent
-    /// runs (default off — the exact seed data plane, byte-identical
-    /// charges). When on, every frame is sealed with the four-word
-    /// checksum/seq/route trailer (runtime/transport.hpp), retained on the
+    /// runs (default off — the unguarded data plane, byte-identical
+    /// charges). When on, every frame is sealed with the five-word
+    /// checksum/seq/route/ack trailer (runtime/transport.hpp), retained on the
     /// sender side for retransmission, verified + deduplicated + reordered
     /// back into stream order on receive, and the trailer words are charged
     /// to the cost model deterministically.
@@ -255,6 +231,9 @@ public:
         return transport_model_;
     }
 
+    // Test seams that force the guard's bounded-resource paths (RetainMiss,
+    // StashOverflow, standalone acks); engines and tools run the defaults.
+
     /// Hard cap on frames retained per (src, dst, tag) stream for
     /// retransmission (default 64). With the ack window this is a fallback
     /// bound only: the receiver's cumulative watermark normally evicts
@@ -265,12 +244,6 @@ public:
         retain_depth_ = depth;
     }
 
-    /// Retransmit attempts allowed per logical receive before the guard
-    /// raises TransportFault(RetryExhausted) (default 8).
-    void set_transport_retry_limit(int limit) noexcept {
-        transport_retry_limit_ = limit;
-    }
-
     /// Cap on each receiver-side stash (the reorder deferral stash and the
     /// ahead-of-order receive stash, independently; default 4096 entries).
     /// Exceeding it raises TransportFault(StashOverflow) instead of growing
@@ -278,7 +251,6 @@ public:
     void set_transport_stash_limit(std::size_t limit) noexcept {
         stash_limit_ = limit;
     }
-    std::size_t transport_stash_limit() const noexcept { return stash_limit_; }
 
     /// Un-published backlog (delivered frames not yet covered by a
     /// piggybacked ack) at which a receiver charges a standalone ack frame
@@ -287,19 +259,6 @@ public:
     void set_transport_ack_interval(std::uint64_t interval) noexcept {
         ack_interval_ = interval == 0 ? 1 : interval;
     }
-    std::uint64_t transport_ack_interval() const noexcept {
-        return ack_interval_;
-    }
-
-    /// Ack-propagation delay in rounds (default 0 = instant): retention
-    /// eviction applies the receiver's watermark minus this lag, modeling
-    /// acknowledgments that take a configurable number of rounds to reach
-    /// the sender. The NACK/retransmit path only ever gains margin from the
-    /// lag — frames survive in retention at least as long as before.
-    void set_transport_ack_delay(std::uint64_t rounds) noexcept {
-        ack_delay_ = rounds;
-    }
-    std::uint64_t transport_ack_delay() const noexcept { return ack_delay_; }
 
     /// Retention stream map nodes currently live across all shards — the
     /// accounting hook for the stream-node leak fixed in this layer: the
@@ -351,10 +310,9 @@ private:
     /// per rank; fills @p blocked_ranks with their ids (ascending).
     std::string deadlock_diagnostic(std::vector<int>& blocked_ranks) const;
 
-    MailboxBase& mailbox(int r) {
+    Mailbox& mailbox(int r) {
         return *mailboxes_[static_cast<std::size_t>(r)];
     }
-    std::unique_ptr<MailboxBase> make_mailbox() const;
 
     /// Sender-side retention for the NACK/retransmit protocol: one shard
     /// per destination rank, holding the not-yet-acknowledged sealed frames
@@ -399,8 +357,7 @@ private:
 
     int size_;
     FaultPlan plan_;
-    std::vector<std::unique_ptr<MailboxBase>> mailboxes_;
-    DataPlane data_plane_ = DataPlane::Pooled;
+    std::vector<std::unique_ptr<Mailbox>> mailboxes_;
     mutable std::mutex blocked_mu_;
     std::vector<BlockedRecv> blocked_;
     RunStats stats_;
@@ -408,15 +365,12 @@ private:
     std::unique_ptr<Tracer> tracer_;
     std::shared_ptr<EventLog> events_;
     std::unique_ptr<ThreadPool> pool_;  ///< lazily created on first run()
-    bool thread_reuse_ = true;
 
     bool transport_guard_ = false;
     TransportFaultModel transport_model_{};
     std::size_t retain_depth_ = 64;
-    int transport_retry_limit_ = 8;
     std::size_t stash_limit_ = 4096;
     std::uint64_t ack_interval_ = 16;
-    std::uint64_t ack_delay_ = 0;
     std::vector<std::unique_ptr<RetainShard>> retain_;  ///< per destination
     std::unique_ptr<TransportCounterBlock> tcounters_;
 

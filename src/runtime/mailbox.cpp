@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 
 namespace ftmul {

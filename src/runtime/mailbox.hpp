@@ -2,15 +2,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "runtime/msg_pool.hpp"
@@ -50,51 +45,35 @@ struct ResidueFrame {
 /// and delivered FIFO per matching pair, like an MPI receive queue.
 /// push_batch delivers several messages from one sender under a single lock
 /// acquisition and wakeup — the transport under the fused collectives.
-class MailboxBase {
+///
+/// Sharded per source rank (sends are single-producer per (src, dst) in this
+/// machine), each shard guarding a small flat open-addressed tag table with
+/// its own mutex: no global lock, no per-pop tree lookup, and drained queue
+/// slots are reclaimed instead of leaking for the life of the run.
+class Mailbox {
 public:
-    virtual ~MailboxBase() = default;
+    explicit Mailbox(int world_size);
+    ~Mailbox();
 
-    virtual void push(int src, int tag, PayloadBuf payload) = 0;
-    virtual void push_batch(int src, std::vector<TaggedPayload> items) = 0;
+    void push(int src, int tag, PayloadBuf payload);
+    void push_batch(int src, std::vector<TaggedPayload> items);
 
     /// Wake any blocked pop and make it throw RunAborted.
-    virtual void abort() = 0;
+    void abort();
 
-    virtual PayloadBuf pop(int src, int tag,
-                           std::chrono::milliseconds timeout) = 0;
+    PayloadBuf pop(int src, int tag, std::chrono::milliseconds timeout);
 
     /// Live (src, tag) queue slots currently held — drained slots must be
     /// reclaimed, so this stays bounded by the number of in-flight
     /// (src, tag) pairs no matter how many send/recv cycles have run.
-    virtual std::size_t live_slots() const = 0;
+    std::size_t live_slots() const;
 
     /// Remove and return every frame still queued, in deterministic
     /// (src, tag, FIFO) order. The transport guard sweeps this residue
     /// after the rank threads joined: duplicate frames of single-message
     /// streams and fire-and-forget traffic no recv consumed land here and
     /// still get inspected and attributed.
-    virtual std::vector<ResidueFrame> drain_residue() = 0;
-};
-
-/// The zero-copy data plane's mailbox: sharded per source rank (sends are
-/// single-producer per (src, dst) in this machine), each shard guarding a
-/// small flat open-addressed tag table with its own mutex. Compared to the
-/// seed's single-mutex std::map<(src,tag)> design this removes the global
-/// lock, the per-pop O(log n) lookup and the red-black-tree node churn, and
-/// it reclaims drained queue slots instead of leaking them for the life of
-/// the run.
-class Mailbox final : public MailboxBase {
-public:
-    explicit Mailbox(int world_size);
-    ~Mailbox() override;
-
-    void push(int src, int tag, PayloadBuf payload) override;
-    void push_batch(int src, std::vector<TaggedPayload> items) override;
-    void abort() override;
-    PayloadBuf pop(int src, int tag,
-                   std::chrono::milliseconds timeout) override;
-    std::size_t live_slots() const override;
-    std::vector<ResidueFrame> drain_residue() override;
+    std::vector<ResidueFrame> drain_residue();
 
 private:
     struct Shard;
@@ -107,82 +86,6 @@ private:
 
     std::vector<std::unique_ptr<Shard>> shards_;
     std::atomic<bool> aborted_{false};
-};
-
-/// The seed implementation, preserved verbatim in behavior: one mutex and
-/// condition variable over a std::map keyed by (src, tag), payloads as
-/// plain vectors, drained entries never reclaimed. Kept as the live A/B
-/// baseline for bench_collectives' pooled-vs-legacy mode (selected with
-/// Machine::set_data_plane(DataPlane::Legacy)).
-class LegacyMailbox final : public MailboxBase {
-public:
-    void push(int src, int tag, PayloadBuf payload) override {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            queues_[{src, tag}].push_back(std::move(payload).release());
-        }
-        cv_.notify_all();
-    }
-
-    void push_batch(int src, std::vector<TaggedPayload> items) override {
-        for (TaggedPayload& it : items) {
-            push(src, it.tag, std::move(it.buf));
-        }
-    }
-
-    void abort() override {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            aborted_ = true;
-        }
-        cv_.notify_all();
-    }
-
-    PayloadBuf pop(int src, int tag,
-                   std::chrono::milliseconds timeout) override {
-        std::unique_lock<std::mutex> lock(mu_);
-        const auto key = std::make_pair(src, tag);
-        if (!cv_.wait_for(lock, timeout, [&] {
-                if (aborted_) return true;
-                auto it = queues_.find(key);
-                return it != queues_.end() && !it->second.empty();
-            })) {
-            throw RecvTimeout("recv timed out waiting for src=" +
-                              std::to_string(src) +
-                              " tag=" + std::to_string(tag));
-        }
-        if (aborted_) throw RunAborted{};
-        auto& q = queues_[key];
-        PayloadBuf out = PayloadBuf::adopt(std::move(q.front()));
-        q.pop_front();
-        return out;
-    }
-
-    std::size_t live_slots() const override {
-        std::lock_guard<std::mutex> lock(mu_);
-        return queues_.size();
-    }
-
-    std::vector<ResidueFrame> drain_residue() override {
-        std::lock_guard<std::mutex> lock(mu_);
-        std::vector<ResidueFrame> out;
-        // The map is ordered by (src, tag) already.
-        for (auto& [key, q] : queues_) {
-            for (auto& words : q) {
-                out.push_back({key.first, key.second,
-                               PayloadBuf::adopt(std::move(words))});
-            }
-        }
-        queues_.clear();
-        return out;
-    }
-
-private:
-    mutable std::mutex mu_;
-    std::condition_variable cv_;
-    std::map<std::pair<int, int>, std::deque<std::vector<std::uint64_t>>>
-        queues_;
-    bool aborted_ = false;
 };
 
 }  // namespace ftmul

@@ -15,8 +15,8 @@ class MsgPool;
 /// free list first, global spill pool second), so the steady-state
 /// send/recv path performs no heap allocation. Buffers wrapped with adopt()
 /// or moved out with release() are "unpooled": they free/keep their storage
-/// normally, which is how the legacy data plane and the vector-based
-/// compatibility overloads route around the pool.
+/// normally, which is how the vector-based compatibility overloads route
+/// around the pool.
 class PayloadBuf {
 public:
     PayloadBuf() = default;
@@ -61,7 +61,7 @@ public:
 
     /// Move the storage out; the buffer becomes empty and unpooled, and the
     /// extracted vector is owned by the caller (pool recycling ends here —
-    /// used by the legacy recv() compatibility path and by BigInt limb
+    /// used by the vector recv() compatibility path and by BigInt limb
     /// adoption).
     std::vector<std::uint64_t> release() noexcept {
         pooled_ = false;
@@ -90,9 +90,9 @@ private:
 /// acquire (always on: the check touches a bounded number of words).
 ///
 /// Statistics are plain relaxed atomics (one increment per message, not per
-/// word) and are always live so the A/B benchmark and the acceptance tests
-/// can verify the allocation count without enabling the metrics registry;
-/// the registry mirrors them through a snapshot collector.
+/// word) and are always live so bench_collectives_ab and the tests can
+/// verify the allocation count without enabling the metrics registry; the
+/// registry mirrors them through a snapshot collector.
 class MsgPool {
 public:
     /// The process-wide pool used by Machine/Rank and the collectives.
@@ -108,13 +108,6 @@ public:
         return b;
     }
 
-    /// Pooling off = the legacy allocation behavior (every acquire is a
-    /// fresh vector, every return frees). The live A/B baseline for
-    /// bench_collectives, like Machine::set_thread_reuse(false) is for the
-    /// thread pool.
-    void set_pooling_enabled(bool on) noexcept;
-    bool pooling_enabled() const noexcept;
-
     /// Drop every cached buffer (thread caches are dropped lazily as their
     /// threads next touch the pool; the shared spill pool empties now).
     void trim();
@@ -124,8 +117,6 @@ public:
     /// the per-class spill depths grow monotonically to cover the largest
     /// machine seen — small classes toward 2*P^2 (capped), large classes
     /// toward 4*P — never below the fixed 512/64 the pool started with.
-    /// The FTMUL_POOL_DEPTH environment variable overrides both depths with
-    /// a fixed value for A/B runs (re-read on every call, takes precedence).
     void note_world_size(int world) noexcept;
 
     /// Current (small-class, large-class) spill depths.

@@ -193,45 +193,36 @@ TEST(MailboxStress, GuardedRetransmitTrafficUnderContention) {
 
 TEST(MailboxStress, DrainResidueReclaimsEverything) {
     // drain_residue must hand back every queued frame exactly once, in
-    // deterministic (src, tag, FIFO) order, and leave zero live slots —
-    // for both mailbox implementations.
-    const auto fill = [](MailboxBase& mb) {
-        for (int src = 2; src >= 0; --src) {
-            for (int tag : {9, 4}) {
-                for (std::uint64_t seq = 0; seq < 3; ++seq) {
-                    PayloadBuf b = MsgPool::instance().acquire(8);
-                    b.storage().assign(
-                        1, static_cast<std::uint64_t>(src) << 32 |
-                               static_cast<std::uint64_t>(tag) << 16 | seq);
-                    mb.push(src, tag, std::move(b));
-                }
+    // deterministic (src, tag, FIFO) order, and leave zero live slots.
+    Mailbox mb(3);
+    for (int src = 2; src >= 0; --src) {
+        for (int tag : {9, 4}) {
+            for (std::uint64_t seq = 0; seq < 3; ++seq) {
+                PayloadBuf b = MsgPool::instance().acquire(8);
+                b.storage().assign(
+                    1, static_cast<std::uint64_t>(src) << 32 |
+                           static_cast<std::uint64_t>(tag) << 16 | seq);
+                mb.push(src, tag, std::move(b));
             }
         }
-    };
-    Mailbox sharded(3);
-    LegacyMailbox legacy;
-    for (MailboxBase* mb : {static_cast<MailboxBase*>(&sharded),
-                            static_cast<MailboxBase*>(&legacy)}) {
-        fill(*mb);
-        const std::vector<ResidueFrame> out = mb->drain_residue();
-        ASSERT_EQ(out.size(), 3u * 2u * 3u);
-        std::size_t i = 0;
-        for (int src = 0; src < 3; ++src) {
-            for (int tag : {4, 9}) {  // ascending tag within a source
-                for (std::uint64_t seq = 0; seq < 3; ++seq, ++i) {
-                    EXPECT_EQ(out[i].src, src);
-                    EXPECT_EQ(out[i].tag, tag);
-                    ASSERT_EQ(out[i].buf.size(), 1u);
-                    EXPECT_EQ(out[i].buf[0],
-                              static_cast<std::uint64_t>(src) << 32 |
-                                  static_cast<std::uint64_t>(tag) << 16 |
-                                  seq);
-                }
-            }
-        }
-        EXPECT_EQ(mb->live_slots(), 0u);
-        EXPECT_TRUE(mb->drain_residue().empty());
     }
+    const std::vector<ResidueFrame> out = mb.drain_residue();
+    ASSERT_EQ(out.size(), 3u * 2u * 3u);
+    std::size_t i = 0;
+    for (int src = 0; src < 3; ++src) {
+        for (int tag : {4, 9}) {  // ascending tag within a source
+            for (std::uint64_t seq = 0; seq < 3; ++seq, ++i) {
+                EXPECT_EQ(out[i].src, src);
+                EXPECT_EQ(out[i].tag, tag);
+                ASSERT_EQ(out[i].buf.size(), 1u);
+                EXPECT_EQ(out[i].buf[0],
+                          static_cast<std::uint64_t>(src) << 32 |
+                              static_cast<std::uint64_t>(tag) << 16 | seq);
+            }
+        }
+    }
+    EXPECT_EQ(mb.live_slots(), 0u);
+    EXPECT_TRUE(mb.drain_residue().empty());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Sharded-mailbox unit tests: FIFO per (src, tag), tag separation, slot
 // reclamation (the seed's queue-map leak, fixed), table growth, abort and
 // timeout behavior — plus machine-level regression tests that pin the
-// bounded-slot guarantee under both data planes.
+// bounded-slot guarantee and the charges of a BigInt exchange.
 
 #include "runtime/mailbox.hpp"
 
@@ -54,15 +54,40 @@ TEST(Mailbox, DrainedSlotsAreReclaimed) {
     }
 }
 
-TEST(Mailbox, LegacyMailboxLeaksSlotsByDesign) {
-    // Documents the baseline the fix is measured against: the preserved
-    // legacy transport holds one map node per (src, tag) pair forever.
-    LegacyMailbox mb;
-    for (int tag = 0; tag < 100; ++tag) {
-        mb.push(1, tag, make_payload({1}));
-        mb.pop(1, tag, 1s);
+TEST(Mailbox, LiveSlotsTrackInFlightPairsThroughErasure) {
+    // A slot lives while its (src, tag) queue holds a message and goes the
+    // moment the queue drains. Draining tags in an order unrelated to
+    // insertion erases slots from the middle of probe chains; the
+    // backward-shift deletion must keep every other tag reachable.
+    Mailbox mb(3);
+    constexpr int kTags = 200;  // grows the table well past its initial 8
+    // Scattered distinct tags, so probe chains form as for random keys.
+    const auto tag_of = [](int i) { return i * 40503 % 65521; };
+    for (int i = 0; i < kTags; ++i) {
+        for (std::uint64_t k = 0; k < 2; ++k) {
+            mb.push(2, tag_of(i),
+                    make_payload({static_cast<std::uint64_t>(i) * 10 + k}));
+        }
     }
-    EXPECT_EQ(mb.live_slots(), 100u);
+    mb.push(0, tag_of(0), make_payload({99}));
+    EXPECT_EQ(mb.live_slots(), static_cast<std::size_t>(kTags) + 1);
+    // First message of every tag, in a stride-3 order: no queue drains.
+    for (int j = 0; j < kTags; ++j) {
+        const int i = j * 3 % kTags;
+        EXPECT_EQ(mb.pop(2, tag_of(i), 1s)[0],
+                  static_cast<std::uint64_t>(i) * 10);
+    }
+    EXPECT_EQ(mb.live_slots(), static_cast<std::size_t>(kTags) + 1);
+    // Second message, stride-7 order: each pop drains and erases one slot.
+    for (int j = 0; j < kTags; ++j) {
+        const int i = j * 7 % kTags;
+        EXPECT_EQ(mb.pop(2, tag_of(i), 1s)[0],
+                  static_cast<std::uint64_t>(i) * 10 + 1);
+        EXPECT_EQ(mb.live_slots(), static_cast<std::size_t>(kTags - j));
+    }
+    // The same tag from another source is a separate slot.
+    EXPECT_EQ(mb.pop(0, tag_of(0), 1s)[0], 99u);
+    EXPECT_EQ(mb.live_slots(), 0u);
 }
 
 TEST(Mailbox, TableGrowsUnderManyConcurrentTags) {
@@ -111,11 +136,10 @@ TEST(Mailbox, AbortWakesBlockedPop) {
 }
 
 // ---------------------------------------------------------------------------
-// Machine-level regression: bounded slots and identical semantics under
-// both data planes.
+// Machine-level regression: bounded slots and pinned exchange charges.
 // ---------------------------------------------------------------------------
 
-TEST(MachineDataPlane, PooledMailboxSlotsStayBounded) {
+TEST(MachineMailbox, PooledMailboxSlotsStayBounded) {
     Machine m(2);
     m.run([&](Rank& r) {
         const int peer = 1 - r.id();
@@ -132,51 +156,30 @@ TEST(MachineDataPlane, PooledMailboxSlotsStayBounded) {
     EXPECT_EQ(m.mailbox_live_slots(1), 0u);
 }
 
-TEST(MachineDataPlane, LegacyPlaneRoundTripStillWorks) {
-    Machine m(2);
-    m.set_data_plane(DataPlane::Legacy);
+TEST(MachineMailbox, ExchangeChargesArePinned) {
+    // Wall-clock belongs to the data plane, the cost model does not: a
+    // pairwise exchange of five 12-limb BigInts charges one 71-word frame
+    // (count word + 5 x (sign, length, 12 limbs)) per rank, whatever the
+    // transport does underneath. The pooled plane and the removed seed
+    // plane both charged exactly these values.
+    Machine m(4);
     m.run([&](Rank& r) {
-        if (r.id() == 0) {
-            r.send(1, 7, {10, 20, 30});
-            EXPECT_EQ(r.recv(1, 8), (std::vector<std::uint64_t>{99}));
-        } else {
-            EXPECT_EQ(r.recv(0, 7), (std::vector<std::uint64_t>{10, 20, 30}));
-            r.send(0, 8, {99});
+        const int peer = r.id() ^ 1;
+        std::vector<BigInt> vals;
+        for (int i = 0; i < 5; ++i) {
+            vals.push_back(BigInt{(r.id() + 1) * 1000 + i} << 700);
         }
+        r.send_bigints(peer, 3, vals);
+        auto got = r.recv_bigints(peer, 3);
+        EXPECT_EQ(got.size(), vals.size());
     });
-    // The legacy mailbox keeps its drained queues — that is the behavior
-    // the sharded rewrite fixes and the A/B benchmark measures against.
-    EXPECT_EQ(m.mailbox_live_slots(0), 1u);
-    EXPECT_EQ(m.mailbox_live_slots(1), 1u);
-}
-
-TEST(MachineDataPlane, ChargesAreIdenticalAcrossPlanes) {
-    // The whole point of the data-plane work: wall-clock changes, the cost
-    // model does not. Run the same exchange under both planes and compare
-    // every deterministic counter.
-    auto run_once = [](DataPlane dp) {
-        Machine m(4);
-        m.set_data_plane(dp);
-        m.run([&](Rank& r) {
-            const int peer = r.id() ^ 1;
-            std::vector<BigInt> vals;
-            for (int i = 0; i < 5; ++i) {
-                vals.push_back(BigInt{(r.id() + 1) * 1000 + i} << 700);
-            }
-            r.send_bigints(peer, 3, vals);
-            auto got = r.recv_bigints(peer, 3);
-            EXPECT_EQ(got.size(), vals.size());
-        });
-        return m.stats();
-    };
-    const RunStats pooled = run_once(DataPlane::Pooled);
-    const RunStats legacy = run_once(DataPlane::Legacy);
-    EXPECT_EQ(pooled.aggregate.msgs, legacy.aggregate.msgs);
-    EXPECT_EQ(pooled.aggregate.words, legacy.aggregate.words);
-    EXPECT_EQ(pooled.aggregate.flops, legacy.aggregate.flops);
-    EXPECT_EQ(pooled.critical.msgs, legacy.critical.msgs);
-    EXPECT_EQ(pooled.critical.words, legacy.critical.words);
-    EXPECT_EQ(pooled.critical.latency, legacy.critical.latency);
+    const RunStats& s = m.stats();
+    EXPECT_EQ(s.aggregate.msgs, 4u);
+    EXPECT_EQ(s.aggregate.words, 4u * 71u);
+    EXPECT_EQ(s.aggregate.latency, 0u);
+    EXPECT_EQ(s.critical.msgs, 1u);
+    EXPECT_EQ(s.critical.words, 71u);
+    EXPECT_EQ(s.critical.latency, 0u);
 }
 
 }  // namespace

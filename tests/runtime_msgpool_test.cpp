@@ -1,5 +1,5 @@
 // MsgPool unit tests: size-class rounding, thread-local vs. shared-pool
-// recycling, the pooling-off legacy mode, trim(), stats accounting and the
+// recycling, trim(), adaptive spill depths, stats accounting and the
 // use-after-return poison check. Complements the machine-level data-plane
 // tests in runtime_mailbox_test.cpp.
 
@@ -84,23 +84,32 @@ TEST(MsgPool, CrossThreadReturnReachesSpillPool) {
     EXPECT_EQ(d.poison_failures(), 0u);
 }
 
-TEST(MsgPool, PoolingOffRestoresLegacyAllocation) {
+TEST(MsgPool, OffClassBuffersAreFreedNotCached) {
+    // Only storage whose capacity is exactly a class size is recycled.
+    // Requests above the largest class get an exact-size buffer; it and a
+    // buffer whose capacity left its class are freed on return (counted
+    // as dropped), so the next request allocates again.
     MsgPool& pool = MsgPool::instance();
-    pool.set_pooling_enabled(false);
+    pool.trim();
+    const std::size_t huge = (std::size_t{1} << MsgPool::kMaxClass) + 1;
     StatsDelta d;
     {
-        PayloadBuf b = pool.acquire(256);
-        EXPECT_FALSE(b.pooled());
+        PayloadBuf b = pool.acquire(huge);
+        EXPECT_TRUE(b.pooled());
+        EXPECT_EQ(b.storage().capacity(), huge);
     }
-    // Legacy mode: every acquire is a fresh vector, every return frees
-    // (the unpooled buffer never reaches give_back, so neither the
-    // returns nor the dropped counter moves).
-    EXPECT_EQ(d.fresh_allocs(), 1u);
-    EXPECT_EQ(d.acquires(), 0u) << "pooled-acquire counter must not move";
+    {
+        PayloadBuf b = pool.acquire(64);
+        b.storage().reserve(100);  // exact reserve: 100 is no class size
+        EXPECT_EQ(b.storage().capacity(), 100u);
+    }
     EXPECT_EQ(d.returns(), 0u);
-    EXPECT_EQ(d.dropped(), 0u);
-    pool.set_pooling_enabled(true);
-    EXPECT_TRUE(pool.pooling_enabled());
+    EXPECT_EQ(d.dropped(), 2u);
+    { PayloadBuf b = pool.acquire(huge); }
+    { PayloadBuf b = pool.acquire(64); }
+    EXPECT_EQ(d.acquires(), 4u);
+    EXPECT_EQ(d.fresh_allocs(), 4u);
+    EXPECT_EQ(d.local_hits() + d.global_hits(), 0u);
 }
 
 TEST(MsgPool, TrimDropsCachedBuffers) {
@@ -156,7 +165,6 @@ TEST(MsgPool, ReturnedBuffersArePoisoned) {
 }
 
 TEST(MsgPool, AdaptiveSpillDepthsGrowMonotonicallyWithWorldSize) {
-    unsetenv("FTMUL_POOL_DEPTH");
     const auto [small0, large0] = MsgPool::spill_depths();
 
     // Nonsense worlds change nothing.
@@ -177,23 +185,31 @@ TEST(MsgPool, AdaptiveSpillDepthsGrowMonotonicallyWithWorldSize) {
     EXPECT_EQ(MsgPool::spill_depths(), std::make_pair(small1, large1));
 }
 
-TEST(MsgPool, PoolDepthEnvOverridePinsBothDepths) {
-    // FTMUL_POOL_DEPTH pins both depths exactly — including *lowering*
-    // them, which monotonic growth never does — so A/B runs can sweep
-    // shallow pools. Malformed values are ignored.
-    setenv("FTMUL_POOL_DEPTH", "123", 1);
-    MsgPool::instance().note_world_size(64);
-    EXPECT_EQ(MsgPool::spill_depths(),
-              std::make_pair(std::size_t{123}, std::size_t{123}));
-
-    const auto pinned = MsgPool::spill_depths();
-    setenv("FTMUL_POOL_DEPTH", "not-a-number", 1);
-    MsgPool::instance().note_world_size(64);  // env ignored, growth resumes
-    EXPECT_GE(MsgPool::spill_depths().first, pinned.first);
-
-    unsetenv("FTMUL_POOL_DEPTH");
-    MsgPool::instance().note_world_size(64);  // restore sane depths
-    EXPECT_GE(MsgPool::spill_depths().first, std::size_t{512});
+TEST(MsgPool, SpillDepthBoundsTheSharedPool) {
+    // Returns fill this thread's free list, then the shared spill pool up
+    // to the class's spill depth; every return past that is freed. Taking
+    // the buffers back serves exactly that many from each tier and
+    // allocates the dropped remainder afresh.
+    MsgPool& pool = MsgPool::instance();
+    pool.trim();
+    const std::size_t depth = MsgPool::spill_depths().first;
+    const std::size_t n = depth + 64;  // well past local + spill capacity
+    std::vector<PayloadBuf> held;
+    held.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) held.push_back(pool.acquire(1));
+    StatsDelta back;
+    held.clear();
+    EXPECT_EQ(back.returns() + back.dropped(), n);
+    EXPECT_GT(back.dropped(), 0u);
+    ASSERT_GE(back.returns(), depth);
+    StatsDelta again;
+    for (std::size_t i = 0; i < n; ++i) held.push_back(pool.acquire(1));
+    EXPECT_EQ(again.global_hits(), depth);
+    EXPECT_EQ(again.local_hits(), back.returns() - depth);
+    EXPECT_EQ(again.fresh_allocs(), back.dropped());
+    EXPECT_EQ(again.poison_failures(), 0u);
+    held.clear();
+    pool.trim();
 }
 
 }  // namespace

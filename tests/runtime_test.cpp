@@ -4,7 +4,9 @@
 
 #include <array>
 #include <atomic>
+#include <map>
 #include <numeric>
+#include <string>
 #include <thread>
 
 #include "bigint/random.hpp"
@@ -15,6 +17,23 @@ namespace ftmul {
 namespace {
 
 Group whole_world(int p) { return Group::strided(0, p); }
+
+void expect_same_counters(const CostCounters& a, const CostCounters& b,
+                          const std::string& what) {
+    EXPECT_EQ(a.flops, b.flops) << what;
+    EXPECT_EQ(a.words, b.words) << what;
+    EXPECT_EQ(a.msgs, b.msgs) << what;
+    EXPECT_EQ(a.latency, b.latency) << what;
+}
+
+void expect_same_phases(const std::map<std::string, CostCounters>& a,
+                        const std::map<std::string, CostCounters>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (const auto& [name, c] : a) {
+        ASSERT_TRUE(b.count(name)) << name;
+        expect_same_counters(c, b.at(name), name);
+    }
+}
 
 TEST(Machine, RunsEveryRank) {
     Machine m(8);
@@ -71,6 +90,50 @@ TEST(Machine, BigIntWireRoundTrip) {
             EXPECT_EQ(r.recv_bigints(0, 3), vals);
         }
     });
+}
+
+TEST(Machine, BigIntBatchChargesLikeASendLoop) {
+    // send_bigints_batch fuses the mailbox delivery only: every item is
+    // charged and received as its own message, exactly like the
+    // equivalent send_bigints loop — unguarded (one fused push) and
+    // guarded (per-frame seals) alike.
+    Rng rng{5};
+    const std::vector<BigInt> x{BigInt{-3}, BigInt{}, random_bits(rng, 200)};
+    const std::vector<BigInt> y{random_bits(rng, 3000)};
+    const std::vector<BigInt> z{};
+    const auto run = [&](bool batched, bool guard) {
+        Machine m(2);
+        m.set_transport_guard(guard);
+        m.run([&](Rank& r) {
+            r.phase("xfer");
+            if (r.id() == 0) {
+                if (batched) {
+                    const std::pair<int, std::span<const BigInt>> items[] = {
+                        {4, x}, {5, y}, {4, z}};
+                    r.send_bigints_batch(1, items);
+                } else {
+                    r.send_bigints(1, 4, x);
+                    r.send_bigints(1, 5, y);
+                    r.send_bigints(1, 4, z);
+                }
+            } else {
+                EXPECT_EQ(r.recv_bigints(0, 5), y);
+                EXPECT_EQ(r.recv_bigints(0, 4), x);
+                EXPECT_EQ(r.recv_bigints(0, 4), z);
+            }
+        });
+        EXPECT_EQ(m.mailbox_live_slots(1), 0u);
+        return m.stats();
+    };
+    for (const bool guard : {false, true}) {
+        const RunStats fused = run(true, guard);
+        const RunStats loop = run(false, guard);
+        const std::string what = guard ? "guarded" : "unguarded";
+        expect_same_counters(fused.aggregate, loop.aggregate, what);
+        expect_same_counters(fused.critical, loop.critical, what);
+        expect_same_phases(fused.per_phase, loop.per_phase);
+        EXPECT_EQ(fused.aggregate.msgs, 3u) << what;
+    }
 }
 
 TEST(Machine, RecvTimeoutThrows) {
@@ -360,10 +423,50 @@ TEST(Collectives, ReduceWordCostMatchesLemma) {
     EXPECT_LE(c.words, w * 3 * 4);
 }
 
+TEST(Collectives, BcastPairChargesLikeTwoBcasts) {
+    // bcast_pair rides both frames on one batched delivery per tree edge;
+    // every rank must end with both vectors and every cost counter must
+    // equal two separate bcasts on the same tag. A non-zero root rotates
+    // the tree, and the large second vector takes the leaves' adopting
+    // decode.
+    constexpr int kP = 6;
+    constexpr int kRoot = 2;
+    Rng rng{31};
+    const std::vector<BigInt> a0{BigInt{-7}, BigInt{}, random_bits(rng, 300)};
+    const std::vector<BigInt> b0{random_bits(rng, 5000)};
+    const auto run = [&](bool fused) {
+        Machine m(kP);
+        m.run([&](Rank& r) {
+            r.phase("bcast");
+            std::vector<BigInt> a;
+            std::vector<BigInt> b;
+            if (r.id() == kRoot) {
+                a = a0;
+                b = b0;
+            }
+            if (fused) {
+                bcast_pair(r, whole_world(kP), kRoot, a, b, 4);
+            } else {
+                bcast(r, whole_world(kP), kRoot, a, 4);
+                bcast(r, whole_world(kP), kRoot, b, 4);
+            }
+            EXPECT_EQ(a, a0) << "rank " << r.id();
+            EXPECT_EQ(b, b0) << "rank " << r.id();
+        });
+        return m.stats();
+    };
+    const RunStats fused = run(true);
+    const RunStats split = run(false);
+    expect_same_counters(fused.aggregate, split.aggregate, "aggregate");
+    expect_same_counters(fused.critical, split.critical, "critical");
+    expect_same_phases(fused.per_phase, split.per_phase);
+    // One message per frame per tree edge.
+    EXPECT_EQ(fused.aggregate.msgs, 2u * (kP - 1));
+}
+
 
 TEST(Machine, ThreadPoolReusesWorkerThreadsAcrossRuns) {
     Machine m(4);
-    m.set_thread_reuse(true);
     std::array<std::thread::id, 4> first{};
     std::array<std::thread::id, 4> second{};
     m.run([&](Rank& r) {
@@ -379,26 +482,44 @@ TEST(Machine, ThreadPoolReusesWorkerThreadsAcrossRuns) {
     for (std::size_t i = 1; i < 4; ++i) EXPECT_NE(first[0], first[i]);
 }
 
-TEST(Machine, SpawnPerRunUsesFreshThreads) {
-    Machine m(2);
-    m.set_thread_reuse(false);
-    std::array<std::thread::id, 2> first{};
-    std::array<std::thread::id, 2> second{};
+TEST(Machine, PoolRecoversAfterAFailedRun) {
+    // The persistent pool is the only executor, so a run that one rank
+    // aborted must leave it reusable: the next run executes on the same
+    // workers, never sees the failed run's unconsumed traffic, and
+    // reports only its own costs.
+    Machine m(3);
+    std::array<std::thread::id, 3> failed{};
+    std::array<std::thread::id, 3> next{};
+    EXPECT_THROW(m.run([&](Rank& r) {
+        failed[static_cast<std::size_t>(r.id())] = std::this_thread::get_id();
+        if (r.id() == 1) {
+            r.send(2, 6, {1, 2, 3});  // never received
+            throw std::runtime_error("boom");
+        }
+        (void)r.recv(1, 5);  // released by the abort
+    }),
+                 std::runtime_error);
     m.run([&](Rank& r) {
-        first[static_cast<std::size_t>(r.id())] = std::this_thread::get_id();
+        next[static_cast<std::size_t>(r.id())] = std::this_thread::get_id();
+        r.phase("ring");
+        r.send((r.id() + 1) % 3, 6, {static_cast<std::uint64_t>(r.id())});
+        // Rank 2 reads the (1 -> 2, tag 6) stream the failed run left a
+        // frame on.
+        const auto got = r.recv((r.id() + 2) % 3, 6);
+        ASSERT_EQ(got.size(), 1u);
+        EXPECT_EQ(got[0], static_cast<std::uint64_t>((r.id() + 2) % 3));
     });
-    m.run([&](Rank& r) {
-        second[static_cast<std::size_t>(r.id())] = std::this_thread::get_id();
-    });
-    // Joined-and-respawned threads may reuse an id, so only sanity-check
-    // that the run completed with distinct per-rank threads.
-    EXPECT_NE(first[0], first[1]);
-    EXPECT_NE(second[0], second[1]);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(failed[i], next[i]) << "rank " << i;
+        EXPECT_EQ(m.mailbox_live_slots(static_cast<int>(i)), 0u);
+    }
+    EXPECT_EQ(m.stats().aggregate.msgs, 3u);
+    EXPECT_EQ(m.stats().aggregate.words, 3u);
+    EXPECT_EQ(m.stats().per_phase.at("ring").msgs, 1u);
 }
 
 TEST(Machine, MailboxesCleanAcrossPooledRuns) {
     Machine m(2);
-    m.set_thread_reuse(true);
     // First run deliberately leaves an unconsumed message in rank 1's box.
     m.run([&](Rank& r) {
         if (r.id() == 0) r.send(1, 5, {111, 222});
@@ -413,23 +534,35 @@ TEST(Machine, MailboxesCleanAcrossPooledRuns) {
     });
 }
 
-TEST(Machine, PooledRunsAccumulateStatsLikeSpawned) {
+TEST(Machine, SecondRunReportsFreshMachineStats) {
+    // Pool workers, mailboxes and cost ledgers carry nothing from one run
+    // to the next: a reused Machine's second run reports exactly the
+    // RunStats of a fresh Machine's first run.
     const auto body = [](Rank& r) {
         r.phase("work");
         BigInt x{r.id() + 1};
         for (int i = 0; i < 4; ++i) x += x;
-        r.note_memory(4);
+        r.note_memory(static_cast<std::uint64_t>(4 * (r.id() + 1)));
+        r.phase("ring");
+        r.send((r.id() + 1) % 3, 2, {static_cast<std::uint64_t>(r.id()), 9});
+        (void)r.recv((r.id() + 2) % 3, 2);
+        r.add_latency(1);
     };
-    Machine pooled(3);
-    pooled.set_thread_reuse(true);
-    Machine spawned(3);
-    spawned.set_thread_reuse(false);
-    pooled.run(body);
-    pooled.run(body);
-    spawned.run(body);
-    spawned.run(body);
-    EXPECT_EQ(pooled.stats().aggregate.flops, spawned.stats().aggregate.flops);
-    EXPECT_EQ(pooled.stats().critical.flops, spawned.stats().critical.flops);
+    Machine reused(3);
+    reused.run(body);
+    reused.run(body);
+    Machine fresh(3);
+    fresh.run(body);
+    const RunStats& a = reused.stats();
+    const RunStats& b = fresh.stats();
+    EXPECT_EQ(a.world, b.world);
+    EXPECT_EQ(a.peak_memory_words, b.peak_memory_words);
+    expect_same_counters(a.critical, b.critical, "critical");
+    expect_same_counters(a.aggregate, b.aggregate, "aggregate");
+    expect_same_phases(a.per_phase, b.per_phase);
+    expect_same_phases(a.per_phase_agg, b.per_phase_agg);
+    EXPECT_EQ(a.aggregate.msgs, 3u);
+    EXPECT_EQ(a.critical.latency, 1u);
 }
 
 }  // namespace

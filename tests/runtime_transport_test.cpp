@@ -407,44 +407,47 @@ TEST(MachineTransport, AckWindowBoundsRetention) {
     EXPECT_EQ(s.live_streams_end, 0u);
 }
 
-TEST(MachineTransport, AckDelayLagsEvictionBehindTheWatermark) {
-    // Same lockstep ping-pong as AckWindowBoundsRetention, but with an
-    // ack-propagation delay of 16 rounds: the receivers' watermarks still
-    // advance on every delivery (acked_seqs unchanged), yet the sender may
-    // only evict frames 16 sequence numbers behind them — modeling acks
-    // that take that many rounds to become actionable. The retained-frame
-    // peak must rise to the delay window; with delay 0 the same traffic
-    // peaks under 8 (asserted above), so the gap is the observable.
-    constexpr int kRounds = 200;
-    constexpr std::uint64_t kDelay = 16;
+TEST(MachineTransport, EvictionFollowsTheWatermarkNotThePublishedAck) {
+    // Bursts of kBurst frames, each answered by one echo. The receiver's
+    // published ack trails delivery (a standalone ack every 16 frames, the
+    // rest piggybacked on the echo), but eviction applies at the delivery
+    // watermark itself: a frame leaves retention the moment it is
+    // consumed, so the live footprint never exceeds one burst.
+    constexpr int kBursts = 20;
+    constexpr int kBurst = 24;  // above the ack interval, below the depth
     Machine m(2);
     m.set_transport_guard(true);
-    m.set_transport_ack_delay(kDelay);
-    EXPECT_EQ(m.transport_ack_delay(), kDelay);
     m.run([&](Rank& r) {
-        for (int i = 0; i < kRounds; ++i) {
+        for (int b = 0; b < kBursts; ++b) {
             if (r.id() == 0) {
-                r.send(1, 7, {static_cast<std::uint64_t>(i)});
+                for (int i = 0; i < kBurst; ++i) {
+                    r.send(1, 7, {static_cast<std::uint64_t>(b * kBurst + i)});
+                }
                 const auto echo = r.recv(1, 8);
                 ASSERT_EQ(echo.size(), 1u);
-                EXPECT_EQ(echo[0], static_cast<std::uint64_t>(i) * 3);
+                EXPECT_EQ(echo[0], static_cast<std::uint64_t>(b));
             } else {
-                const auto got = r.recv(0, 7);
-                ASSERT_EQ(got.size(), 1u);
-                r.send(0, 8, {got[0] * 3});
+                for (int i = 0; i < kBurst; ++i) {
+                    const auto got = r.recv(0, 7);
+                    ASSERT_EQ(got.size(), 1u);
+                    EXPECT_EQ(got[0],
+                              static_cast<std::uint64_t>(b * kBurst + i));
+                }
+                r.send(0, 8, {static_cast<std::uint64_t>(b)});
             }
         }
     });
     const TransportStats s = m.transport_stats();
-    EXPECT_EQ(s.sent_frames, 2u * kRounds);
-    // Watermarks are published exactly as without the delay.
-    EXPECT_EQ(s.acked_seqs, 2u * kRounds);
-    // Eviction lags: both streams hold ~kDelay frames at steady state, so
-    // the live-footprint peak sits in the delay window — well above the
-    // no-delay peak and still bounded far below the fixed fallback depth.
-    EXPECT_GE(m.transport_retained_peak_frames(), kDelay);
-    EXPECT_LE(m.transport_retained_peak_frames(), 2u * (kDelay + 8));
-    // The post-run release still reclaims every lagged frame.
+    EXPECT_EQ(s.sent_frames, static_cast<std::uint64_t>(kBursts) * (kBurst + 1));
+    EXPECT_EQ(s.acked_seqs, s.sent_frames);
+    // Ack publication lags: one standalone ack per burst (at its 16th
+    // frame), the echoes and the bursts' first frames piggyback the rest.
+    EXPECT_EQ(s.acks_standalone, static_cast<std::uint64_t>(kBursts));
+    EXPECT_GT(s.acks_piggybacked, 0u);
+    // Eviction does not: the footprint peaks within a single burst.
+    EXPECT_GE(m.transport_retained_peak_frames(), 1u);
+    EXPECT_LE(m.transport_retained_peak_frames(),
+              static_cast<std::uint64_t>(kBurst));
     EXPECT_EQ(m.live_streams(), 0u);
     EXPECT_EQ(s.live_streams_end, 0u);
 }
@@ -677,28 +680,7 @@ TEST(EngineTransport, GuardAloneLeavesProductAndLedgerClean) {
     EXPECT_EQ(r.transport.injected_total(), 0u);
     EXPECT_EQ(r.transport.detected_losses(), 0u);
     EXPECT_EQ(r.transport.retransmits, 0u);
-}
-
-TEST(EngineTransport, AckDelayConfigPlumbsThroughToTheEngines) {
-    // ParallelConfig::transport_ack_delay_rounds reaches the engine's
-    // Machine through arm_transport: delayed eviction must change nothing
-    // about correctness or the fault ledger on a clean run.
-    Rng rng{99};
-    const BigInt a = random_bits(rng, 1200);
-    const BigInt b = random_bits(rng, 1100);
-    ResilientConfig cfg;
-    cfg.engine = FtEngine::Poly;
-    cfg.base.k = 2;
-    cfg.base.processors = 9;
-    cfg.base.digit_bits = 32;
-    cfg.base.transport_guard = true;
-    cfg.base.transport_ack_delay_rounds = 8;
-    const FtRunResult r = run_ft_engine(a, b, cfg, FaultPlan{});
-    EXPECT_EQ(r.product, a * b);
-    EXPECT_GT(r.transport.sent_frames, 0u);
-    EXPECT_EQ(r.transport.detected_losses(), 0u);
-    EXPECT_EQ(r.transport.retransmits, 0u);
-    // The delay must not leak retention past the run.
+    // Retention must not leak past the run.
     EXPECT_EQ(r.transport.live_streams_end, 0u);
 }
 
