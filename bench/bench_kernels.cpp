@@ -1,9 +1,11 @@
 // Microbenchmarks for the allocation-free hot paths: the limb kernels
-// behind BigInt, the sequential Toom leaf path they serve, and the
-// Machine's persistent thread-pool executor.
+// behind BigInt, the sequential Toom leaf path they serve, the parallel
+// engines' leaf convolution, and the Machine's persistent thread-pool
+// executor.
 //
 // Every optimized kernel is timed against its *_reference twin — the
-// pre-optimization implementation kept verbatim in limb_ops.cpp — inside
+// pre-optimization implementation kept verbatim in limb_ops.cpp, or
+// toom_convolve_reference for the leaf convolution — inside
 // one process, interleaved round-robin with min-of-rounds, so the reported
 // ratios hold up even on noisy shared machines. The cost-model charge (F)
 // of each pair is measured through the OpsCounter and reported alongside:
@@ -31,6 +33,7 @@
 #include "bigint/ops_counter.hpp"
 #include "bigint/random.hpp"
 #include "runtime/machine.hpp"
+#include "toom/lazy.hpp"
 #include "toom/plan.hpp"
 #include "toom/sequential.hpp"
 
@@ -133,6 +136,33 @@ void leaf_path_table(bench::JsonReport& report, bool smoke) {
     }
     bench::print_rows(rows, 0);
     report.add_table("leaf path: balanced schoolbook multiply (limbs)", rows, 0);
+}
+
+void leaf_convolve_table(bench::JsonReport& report, bool smoke) {
+    bench::print_header("parallel leaf: toom_convolve (k=2, 32-bit digits)");
+    // The leaf of a 32768-bit chaos_recovery request on 9 ranks: 261 digits,
+    // base_len 4. The same size runs in smoke mode, so bench_diff checks
+    // its F and its ok flag (coefficients and charge identical) on every
+    // push.
+    const ToomPlan& plan = ToomPlan::make(2);
+    Rng rng{261};
+    std::vector<BigInt> a, b;
+    for (int i = 0; i < 261; ++i) a.push_back(random_below_2pow(rng, 32));
+    for (int i = 0; i < 261; ++i) b.push_back(random_below_2pow(rng, 32));
+    const bool ok =
+        toom_convolve(plan, a, b, 4) == toom_convolve_reference(plan, a, b, 4);
+    std::vector<bench::Row> rows;
+    ab_rows(
+        rows, "toom_convolve/261",
+        [&] {
+            auto r = toom_convolve_reference(plan, a, b, 4);
+            keep(r.data());
+        },
+        [&] { auto r = toom_convolve(plan, a, b, 4); keep(r.data()); },
+        smoke ? 3 : 40, smoke ? 3 : 5, ok);
+    bench::print_rows(rows, 0);
+    report.add_table("parallel leaf: toom_convolve (k=2, 32-bit digits)", rows,
+                     0);
 }
 
 void addsub_table(bench::JsonReport& report, bool smoke) {
@@ -264,6 +294,7 @@ int main(int argc, char** argv) {
     }
     ftmul::bench::JsonReport report("kernels");
     ftmul::leaf_path_table(report, smoke);
+    ftmul::leaf_convolve_table(report, smoke);
     ftmul::addsub_table(report, smoke);
     ftmul::toom_end_to_end_table(report, smoke);
     ftmul::machine_reuse_table(report, smoke);

@@ -208,7 +208,7 @@ FtRunResult checkpoint_toom_multiply(const BigInt& a, const BigInt& b,
         }
         state.clear();
         std::vector<BigInt> child = leaf_multiply(
-            rank, tplan, shape, std::move(a_loc), std::move(b_loc));
+            tplan, shape, std::move(a_loc), std::move(b_loc));
 
         for (int lv = bfs - 1; lv >= 0; --lv) {
             const Level& L = levels[static_cast<std::size_t>(lv)];

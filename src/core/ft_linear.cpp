@@ -415,7 +415,7 @@ FtRunResult ft_linear_multiply(const BigInt& a, const BigInt& b,
             }
         }
         std::vector<BigInt> child = leaf_multiply(
-            rank, tplan, shape, std::move(a_loc), std::move(b_loc));
+            tplan, shape, std::move(a_loc), std::move(b_loc));
 
         // Backward sweep: every interpolation boundary protected likewise.
         for (int lv = bfs - 1; lv >= 0; --lv) {

@@ -344,7 +344,7 @@ FtSoftResult ft_soft_multiply(const BigInt& a, const BigInt& b,
         unpack(std::move(state), a_loc, b_loc);
         state.clear();
         std::vector<BigInt> child = leaf_multiply(
-            rank, tplan, shape, std::move(a_loc), std::move(b_loc));
+            tplan, shape, std::move(a_loc), std::move(b_loc));
 
         // --- backward sweep ---
         for (int lv = bfs - 1; lv >= 0; --lv) {

@@ -74,20 +74,17 @@ std::vector<BigInt> local_input_digits(const BigInt& v,
     return out;
 }
 
-std::vector<BigInt> leaf_multiply(Rank& rank, const ToomPlan& plan,
+std::vector<BigInt> leaf_multiply(const ToomPlan& plan,
                                   const ResolvedShape& shape,
                                   std::vector<BigInt> a_loc,
                                   std::vector<BigInt> b_loc) {
-    (void)rank;
     // The leaf result must be the *carry-free* coefficient vector of the
     // product polynomial: ancestor interpolations and overlap-adds act
     // digit-wise, and their exact divisions hold only as polynomial
-    // identities. Sequential Toom-Cook with lazy interpolation computes the
-    // convolution; pad to exactly twice the input length.
-    const std::size_t len = a_loc.size();
-    std::vector<BigInt> conv = toom_convolve(plan, a_loc, b_loc, shape.base_len);
-    assert(conv.size() == 2 * len - 1);
-    conv.resize(2 * len);
+    // identities. Sequential Toom-Cook computes the convolution into exactly
+    // twice the input length (the last coefficient stays zero).
+    std::vector<BigInt> conv(2 * a_loc.size());
+    toom_convolve_into(plan, a_loc, b_loc, shape.base_len, conv);
     return conv;
 }
 
@@ -120,7 +117,7 @@ std::vector<BigInt> dist_convolve_steps(Rank& rank, const ToomPlan& plan,
         assert(m == 1 && "schedule must reach a singleton group");
         rank.phase("leaf-mul");
         rank.note_memory(words_estimate(shape, 4 * a_loc.size()));
-        return leaf_multiply(rank, plan, shape, std::move(a_loc),
+        return leaf_multiply(plan, shape, std::move(a_loc),
                              std::move(b_loc));
     }
     const char step = steps.front();

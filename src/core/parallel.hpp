@@ -81,8 +81,9 @@ std::vector<BigInt> dist_convolve_steps(Rank& rank, const ToomPlan& plan,
                                         std::string_view steps, int level);
 
 /// Leaf kernel: exact convolution of the two (signed) digit blocks via
-/// sequential lazy Toom-Cook, padded to exactly twice the input length.
-std::vector<BigInt> leaf_multiply(Rank& rank, const ToomPlan& plan,
+/// sequential Toom-Cook (toom_convolve), padded to exactly twice the input
+/// length.
+std::vector<BigInt> leaf_multiply(const ToomPlan& plan,
                                   const ResolvedShape& shape,
                                   std::vector<BigInt> a_loc,
                                   std::vector<BigInt> b_loc);

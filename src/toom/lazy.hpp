@@ -44,22 +44,51 @@ BigInt lazy_recompose(const ToomPlan& plan, std::span<const BigInt> coeffs,
                       std::size_t digit_bits, std::size_t input_len,
                       std::size_t base_len);
 
-/// Fold a lazy_convolve result into the *positional* coefficient vector of
-/// the product polynomial (length 2 * input_len - 1): multivariate
-/// coefficients sharing a weight B^p are summed. This is a polynomial
-/// identity — no carries are involved — so the output is the exact
-/// convolution of the input digit vectors.
-std::vector<BigInt> lazy_to_positional(const ToomPlan& plan,
-                                       std::span<const BigInt> coeffs,
-                                       std::size_t input_len,
-                                       std::size_t base_len);
-
-/// Exact convolution of two equal-length digit vectors using Toom-Cook with
-/// lazy interpolation internally: lazy_convolve + lazy_to_positional.
+/// Exact convolution of two equal-length digit vectors (2 * len - 1
+/// coefficients) by positional Toom-Cook: each level zero-pads to a multiple
+/// of k, recurses on the 2k-1 evaluated blocks and overlap-adds the
+/// interpolated coefficients. Throws std::invalid_argument when @p a and
+/// @p b are empty or differ in length.
+///
+/// Coefficients live in fixed-width two's-complement words (two or three
+/// limbs) sized from a growth bound on the operands and the plan, so 32- and
+/// 64-bit digits never touch a BigInt inside the recursion. OpsCounter is
+/// charged exactly what toom_convolve_reference charges. Operands wider
+/// than that bound allows, and plans whose interpolation numerators or
+/// denominators do not fit a machine word, run toom_convolve_reference.
 std::vector<BigInt> toom_convolve(const ToomPlan& plan,
                                   std::span<const BigInt> a,
                                   std::span<const BigInt> b,
                                   std::size_t base_len);
+
+/// toom_convolve into caller storage: the 2 * len - 1 coefficients go to
+/// the front of @p out and every later entry is set to zero. Throws
+/// std::invalid_argument like toom_convolve, and when @p out is shorter
+/// than 2 * len - 1.
+void toom_convolve_into(const ToomPlan& plan, std::span<const BigInt> a,
+                        std::span<const BigInt> b, std::size_t base_len,
+                        std::span<BigInt> out);
+
+/// The same convolution on BigInt coefficients, built from
+/// ToomPlan::evaluate_blocks, InterpOperator::apply_blocks and
+/// convolve_schoolbook. It is toom_convolve's fallback for operands or plans
+/// the word kernel cannot hold, and its oracle in tests and bench_kernels.
+/// Throws std::invalid_argument like toom_convolve.
+std::vector<BigInt> toom_convolve_reference(const ToomPlan& plan,
+                                            std::span<const BigInt> a,
+                                            std::span<const BigInt> b,
+                                            std::size_t base_len);
+
+namespace detail {
+
+/// Limbs per coefficient word toom_convolve uses for these operands (2 or
+/// 3), or 0 when it runs toom_convolve_reference. Exposed for tests.
+std::size_t toom_convolve_word_limbs(const ToomPlan& plan,
+                                     std::span<const BigInt> a,
+                                     std::span<const BigInt> b,
+                                     std::size_t base_len);
+
+}  // namespace detail
 
 /// Full Algorithm 2: split, lazily convolve, recompose, with sign handling.
 BigInt toom_multiply_lazy(const BigInt& a, const BigInt& b,

@@ -60,26 +60,24 @@ TEST(BigIntAlloc, InlineOperandsDoNotAllocate) {
     }
 }
 
-TEST(BigIntAlloc, LeafConvolveAllocatesOnlyItsContainers) {
-    // A leaf of a 32768-bit chaos_recovery request (k = 2 on 9 ranks):
-    // 261 digits of 32 bits.
+TEST(BigIntAlloc, WarmLeafAllocatesOnlyItsResult) {
+    // Leaves of chaos_recovery requests (k = 2, 32-bit digits): 72 digits
+    // and 261 digits. Once the thread's LimbArena has grown, the word
+    // kernel's scratch comes from it, so a call allocates only its result
+    // vector, whatever the length.
     const ToomPlan& plan = ToomPlan::make(2);
-    Rng rng{261};
-    std::vector<BigInt> a, b;
-    for (int i = 0; i < 261; ++i) a.push_back(random_below_2pow(rng, 32));
-    for (int i = 0; i < 261; ++i) b.push_back(random_below_2pow(rng, 32));
-    const std::vector<BigInt> zeros(261);
-    (void)toom_convolve(plan, a, b, 4);  // warm-up
-
-    // The recursion's shape depends only on the length, and a zero digit
-    // has no limbs: the all-zero convolution allocates exactly the
-    // std::vector containers, so the seeded one may allocate no more.
-    const std::size_t containers =
-        allocations([&] { (void)toom_convolve(plan, zeros, zeros, 4); });
-    const std::size_t seeded =
-        allocations([&] { (void)toom_convolve(plan, a, b, 4); });
-    EXPECT_GT(containers, 0u);
-    EXPECT_LE(seeded, containers);
+    auto warm_leaf_allocations = [&](std::size_t len) {
+        Rng rng{len};
+        std::vector<BigInt> a, b;
+        for (std::size_t i = 0; i < len; ++i) {
+            a.push_back(random_below_2pow(rng, 32));
+            b.push_back(random_below_2pow(rng, 32));
+        }
+        (void)toom_convolve(plan, a, b, 4);  // warm-up: arena slabs
+        return allocations([&] { (void)toom_convolve(plan, a, b, 4); });
+    };
+    EXPECT_EQ(warm_leaf_allocations(72), 1u);
+    EXPECT_EQ(warm_leaf_allocations(261), 1u);
 }
 
 }  // namespace

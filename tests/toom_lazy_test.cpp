@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <stdexcept>
+
 #include "bigint/ops_counter.hpp"
 #include "bigint/random.hpp"
 #include "toom/digits.hpp"
@@ -75,6 +79,114 @@ TEST(ToomConvolve, LeafChargeIsPinned) {
     const std::vector<BigInt> out = toom_convolve(plan, a, b, 4);
     EXPECT_EQ(OpsCounter::get(), 74100u);
     EXPECT_EQ(out, convolve_schoolbook(a, b));
+}
+
+TEST(ToomConvolve, RejectsOperandsOfUnequalLength) {
+    const ToomPlan& plan = ToomPlan::make(2);
+    const std::vector<BigInt> a(9, BigInt{3}), b(8, BigInt{5});
+    EXPECT_THROW((void)toom_convolve(plan, a, b, 4), std::invalid_argument);
+    EXPECT_THROW((void)toom_convolve_reference(plan, b, a, 4),
+                 std::invalid_argument);
+}
+
+TEST(ToomConvolve, RejectsEmptyOperands) {
+    const ToomPlan& plan = ToomPlan::make(2);
+    const std::vector<BigInt> none;
+    EXPECT_THROW((void)toom_convolve(plan, none, none, 4),
+                 std::invalid_argument);
+    EXPECT_THROW((void)toom_convolve_reference(plan, none, none, 4),
+                 std::invalid_argument);
+}
+
+TEST(ToomConvolve, IntoZeroesTheTailAndRejectsShortOutput) {
+    const ToomPlan& plan = ToomPlan::make(3);
+    Rng rng{12};
+    std::vector<BigInt> a, b;
+    for (int i = 0; i < 20; ++i) a.push_back(random_signed_bits(rng, 64));
+    for (int i = 0; i < 20; ++i) b.push_back(random_signed_bits(rng, 64));
+    std::vector<BigInt> out(41, BigInt{7});  // one past 2 * len - 1
+    toom_convolve_into(plan, a, b, 2, out);
+    const std::vector<BigInt> expect = convolve_schoolbook(a, b);
+    EXPECT_TRUE(std::equal(expect.begin(), expect.end(), out.begin()));
+    EXPECT_TRUE(out.back().is_zero());
+    std::vector<BigInt> short_out(38);
+    EXPECT_THROW(toom_convolve_into(plan, a, b, 2, short_out),
+                 std::invalid_argument);
+}
+
+/// Operand digit: zero one time in six, else a uniform signed value of up
+/// to @p bits bits, or at the top (+-(2^bits - 1)) when @p top is set.
+BigInt leaf_digit(Rng& rng, std::size_t bits, bool top) {
+    if (rng.next_below(6) == 0) return {};
+    BigInt v = top ? BigInt::power_of_two(bits) - BigInt{1}
+                   : random_below_2pow(rng, bits);
+    return rng.next_below(2) == 0 ? v : -v;
+}
+
+/// Largest digit width whose all-top operands still get @p limbs-limb words
+/// at this shape (0 if none does).
+std::size_t top_bits_for(const ToomPlan& plan, std::size_t len,
+                         std::size_t base_len, std::size_t limbs) {
+    std::size_t best = 0;
+    for (std::size_t bits = 1; bits <= 200; ++bits) {
+        const std::vector<BigInt> v(len,
+                                    BigInt::power_of_two(bits) - BigInt{1});
+        if (detail::toom_convolve_word_limbs(plan, v, v, base_len) == limbs) {
+            best = bits;
+        }
+    }
+    return best;
+}
+
+TEST(ToomConvolve, MatchesReferenceCoefficientsAndCharges) {
+    // The word kernel against the BigInt recursion it replaces: same
+    // coefficients and the same OpsCounter tally, over random shapes and
+    // digit widths in every word class, including operands at the top of
+    // each class and one bit past it.
+    Rng rng{1601};
+    const std::size_t widths[] = {1,  8,  31, 32, 33, 48,
+                                  63, 64, 65, 80, 96, 120};
+    std::size_t by_limbs[4] = {0, 0, 0, 0};
+    for (int trial = 0; trial < 1200; ++trial) {
+        const int k = 2 + static_cast<int>(rng.next_below(4));
+        const ToomPlan& plan = ToomPlan::make(k);
+        const std::size_t base_len = 1 + rng.next_below(6);
+        const std::size_t len = 1 + rng.next_below(trial % 4 == 0 ? 400 : 80);
+        std::size_t bits = widths[rng.next_below(std::size(widths))];
+        bool top = false;
+        if (trial % 5 == 0) {
+            // Top of the 2- or 3-limb class, or one bit past it.
+            const std::size_t limbs = 2 + rng.next_below(2);
+            bits = top_bits_for(plan, len, base_len, limbs);
+            ASSERT_GT(bits, 0u) << "k=" << k << " len=" << len;
+            bits += rng.next_below(2);
+            top = true;
+        }
+        std::vector<BigInt> a, b;
+        for (std::size_t i = 0; i < len; ++i) {
+            a.push_back(leaf_digit(rng, bits, top));
+            b.push_back(leaf_digit(rng, bits, top));
+        }
+        const std::size_t limbs =
+            detail::toom_convolve_word_limbs(plan, a, b, base_len);
+        ++by_limbs[limbs];
+
+        OpsCounter::reset();
+        const std::vector<BigInt> want =
+            toom_convolve_reference(plan, a, b, base_len);
+        const std::uint64_t want_ops = OpsCounter::get();
+        OpsCounter::reset();
+        const std::vector<BigInt> got = toom_convolve(plan, a, b, base_len);
+        const std::uint64_t got_ops = OpsCounter::get();
+        ASSERT_EQ(got, want) << "k=" << k << " len=" << len
+                             << " base=" << base_len << " bits=" << bits;
+        ASSERT_EQ(got_ops, want_ops) << "k=" << k << " len=" << len
+                                     << " base=" << base_len
+                                     << " bits=" << bits << " limbs=" << limbs;
+    }
+    EXPECT_GE(by_limbs[2], 200u);
+    EXPECT_GE(by_limbs[3], 200u);
+    EXPECT_GE(by_limbs[0], 100u);
 }
 
 TEST(LazyMultiply, MatchesSchoolbookSmall) {
