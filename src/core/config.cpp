@@ -11,36 +11,21 @@ namespace ftmul {
 
 namespace {
 
-/// log_{base}(v) when v is an exact power; -1 otherwise.
-int exact_log(std::uint64_t v, std::uint64_t base) {
-    int l = 0;
-    while (v > 1) {
-        if (v % base != 0) return -1;
-        v /= base;
-        ++l;
-    }
-    return l;
-}
+using core_detail::exact_log;
+using core_detail::ipow;
 
 std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
-std::uint64_t ipow(std::uint64_t b, int e) {
-    std::uint64_t r = 1;
-    for (int i = 0; i < e; ++i) r *= b;
-    return r;
-}
-
 ResolvedShape shape_for_dfs(const ParallelConfig& cfg, std::size_t n_bits,
                             int bfs, int dfs) {
-    return resolve_shape_general(cfg.k, cfg.processors, cfg.processors, dfs,
-                                 bfs, dfs + bfs, cfg.digit_bits, cfg.base_len,
-                                 n_bits);
+    return resolve_shape_general(cfg.k, cfg.processors, dfs, bfs, dfs + bfs,
+                                 cfg.digit_bits, cfg.base_len, n_bits);
 }
 
 }  // namespace
 
-ResolvedShape resolve_shape_general(int k, int processors, int world,
-                                    int dfs_steps, int bfs_steps, int levels,
+ResolvedShape resolve_shape_general(int k, int world, int dfs_steps,
+                                    int bfs_steps, int levels,
                                     std::size_t digit_bits,
                                     std::size_t base_len, std::size_t n_bits) {
     ResolvedShape s;
@@ -51,7 +36,6 @@ ResolvedShape resolve_shape_general(int k, int processors, int world,
     s.dfs_steps = dfs_steps;
     s.digit_bits = digit_bits;
     s.base_len = base_len;
-    (void)processors;
 
     // N = k^levels * leaf_len with leaf_len a positive multiple of world —
     // the divisibility the block-cyclic layout needs at every level. The
@@ -67,11 +51,6 @@ ResolvedShape resolve_shape_general(int k, int processors, int world,
     s.leaf_len = mult * static_cast<std::size_t>(world);
     s.total_digits = static_cast<std::size_t>(
         ipow(static_cast<std::uint64_t>(k), levels) * s.leaf_len);
-
-    // Every sub-problem's result is kept positional (coefficients of the
-    // product polynomial, carries unresolved) at exactly twice the input
-    // length; the leaf pads its 2*len-1 convolution by one zero.
-    s.leaf_result_len = 2 * s.leaf_len;
     return s;
 }
 

@@ -32,14 +32,6 @@ struct ParallelConfig {
     /// limit). Used by the limited-memory benchmarks to sweep the knob.
     int forced_dfs_steps = -1;
 
-    /// Evaluation-point redundancy the run will use (FT polynomial code);
-    /// widens the leaf growth bound so padded leaf results always fit.
-    std::size_t eval_redundancy_hint = 0;
-
-    /// Additional per-level growth slack in bits (multi-step traversal uses
-    /// redundant multipoints with larger coefficients).
-    std::size_t extra_growth_bits = 0;
-
     /// Record a full message/phase trace of the run (see runtime/trace.hpp);
     /// exposed through ParallelRunResult::trace.
     bool trace = false;
@@ -87,11 +79,6 @@ struct ResolvedShape {
     std::size_t leaf_len = 0;      ///< digits per leaf block, multiple of P
     std::size_t base_len = 0;
 
-    /// Padded length of a leaf block's product, a multiple of P: 2*leaf_len
-    /// plus slack for the coefficient growth accumulated over the
-    /// evaluation levels above the leaf.
-    std::size_t leaf_result_len = 0;
-
     std::string to_string() const;
 };
 
@@ -104,13 +91,35 @@ ResolvedShape resolve_shape(const ParallelConfig& cfg, std::size_t n_bits);
 /// multiplier is rounded up to a power of k so leaf blocks recurse all the
 /// way down instead of degrading to quadratic convolution on unlucky
 /// lengths.
-ResolvedShape resolve_shape_general(int k, int processors, int world,
-                                    int dfs_steps, int bfs_steps, int levels,
+ResolvedShape resolve_shape_general(int k, int world, int dfs_steps,
+                                    int bfs_steps, int levels,
                                     std::size_t digit_bits,
                                     std::size_t base_len, std::size_t n_bits);
 
 /// Estimated per-rank peak working set in words for a shape (digit slices
 /// plus the ~2x result growth and the (2k-1)/k per-BFS-level expansion).
 std::uint64_t estimate_peak_words(const ResolvedShape& s);
+
+namespace core_detail {
+
+/// log_{base}(v) when v is an exact power of base >= 2; -1 otherwise.
+inline int exact_log(std::uint64_t v, std::uint64_t base) {
+    if (base < 2) return -1;
+    int l = 0;
+    while (v > 1) {
+        if (v % base != 0) return -1;
+        v /= base;
+        ++l;
+    }
+    return l;
+}
+
+inline std::uint64_t ipow(std::uint64_t b, int e) {
+    std::uint64_t r = 1;
+    for (int i = 0; i < e; ++i) r *= b;
+    return r;
+}
+
+}  // namespace core_detail
 
 }  // namespace ftmul

@@ -20,18 +20,11 @@ struct FtSoftConfig {
     int code_rows = 2;
 };
 
-struct FtSoftResult {
-    BigInt product;
-    ResolvedShape shape;
-    RunStats stats;
-    int extra_processors = 0;
-    int corruptions_injected = 0;
+/// An FtRunResult whose faults_injected counts the planned corruptions,
+/// plus how many of them the syndromes detected and the code corrected.
+struct FtSoftResult : FtRunResult {
     int corruptions_detected = 0;
     int corruptions_corrected = 0;
-
-    /// Transport-guard accounting of the run (all zeros when the guard and
-    /// the data-plane fault model were off).
-    TransportStats transport;
 };
 
 /// Fault-tolerant parallel Toom-Cook against soft faults: the Section 4.1

@@ -5,23 +5,15 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 
+#include "core/driver.hpp"
 #include "core/layout.hpp"
-#include "runtime/metrics.hpp"
-#include "toom/digits.hpp"
 #include "toom/lazy.hpp"
 
 namespace ftmul {
 
 namespace core_detail {
-
-void arm_transport(Machine& machine, const ParallelConfig& cfg) {
-    if (cfg.transport_guard) machine.set_transport_guard(true);
-    // An active model arms the guard along with the injection shim.
-    if (cfg.transport_faults.active()) {
-        machine.set_transport_faults(cfg.transport_faults);
-    }
-}
 
 namespace {
 
@@ -31,16 +23,13 @@ std::vector<std::size_t> base_rows(const ToomPlan& plan) {
     return rows;
 }
 
+}  // namespace
+
 std::uint64_t words_estimate(const ResolvedShape& shape, std::size_t digits) {
     return static_cast<std::uint64_t>(digits) *
            ((shape.digit_bits + 63) / 64 + 2);
 }
 
-/// Overlap-add the npts interpolated coefficient blocks (each the positional
-/// result of a len/k sub-product, rc local values) into the positional result
-/// of the len-sized problem (2*len/m local values). Block i sits at global
-/// offset i*(len/k), i.e. local offset i*(len/k)/m — whole cyclic cycles, so
-/// the operation is fully local.
 std::vector<BigInt> fold_blocks_local(std::span<const BigInt> blocks,
                                       std::size_t npts, std::size_t rc,
                                       std::size_t block_gap_local,
@@ -55,8 +44,6 @@ std::vector<BigInt> fold_blocks_local(std::span<const BigInt> blocks,
     }
     return out;
 }
-
-}  // namespace
 
 std::vector<BigInt> local_input_digits(const BigInt& v,
                                        const ResolvedShape& shape, int nranks,
@@ -199,100 +186,126 @@ std::vector<BigInt> dist_convolve_steps(Rank& rank, const ToomPlan& plan,
     return fold_blocks_local(coeffs, npts, rc, s, out_len);
 }
 
+std::vector<BigInt> bfs_sweep(Rank& rank, const ToomPlan& plan,
+                              const ResolvedShape& shape,
+                              std::vector<BigInt> a_loc,
+                              std::vector<BigInt> b_loc,
+                              const SweepHooks& hooks) {
+    const auto npts = static_cast<std::size_t>(shape.npts);
+    const auto k = static_cast<std::size_t>(shape.k);
+    struct Level {
+        Group g;
+        std::size_t bs;
+        std::size_t len;
+    };
+    std::vector<Level> levels;
+    Group g = Group::strided(0, shape.processors);
+    std::size_t bs = 1;
+    std::size_t len = shape.total_digits;
+    for (int lv = 0; lv < shape.bfs_steps; ++lv) {
+        hooks.eval(lv, a_loc, b_loc);
+        const std::size_t s = len / k / g.size();
+        std::vector<BigInt> ea(npts * s), eb(npts * s);
+        plan.evaluate_blocks(a_loc, ea, s);
+        plan.evaluate_blocks(b_loc, eb, s);
+        hooks.exchange(lv, a_loc.size() + b_loc.size() + ea.size() + eb.size());
+        std::tie(a_loc, b_loc) = exchange_forward_pair(
+            rank, g, npts, bs, std::move(ea), std::move(eb), 100 + lv * 8,
+            101 + lv * 8);
+        levels.push_back({g, bs, len});
+        g = column_subgroup(g, npts, g.index_of(rank.id()) % npts);
+        bs *= npts;
+        len /= k;
+    }
+
+    hooks.leaf(a_loc, b_loc);
+    std::vector<BigInt> child =
+        leaf_multiply(plan, shape, std::move(a_loc), std::move(b_loc));
+
+    for (int lv = shape.bfs_steps - 1; lv >= 0; --lv) {
+        const Level& L = levels[static_cast<std::size_t>(lv)];
+        const std::size_t m = L.g.size();
+        const std::size_t s = L.len / k / m;
+        const std::size_t rc = 2 * s;
+        rank.phase("xbwd-L" + std::to_string(lv));
+        std::vector<BigInt> children = exchange_backward(
+            rank, L.g, npts, L.bs, std::move(child), 102 + lv * 8);
+        hooks.interp(lv, children);
+        std::vector<BigInt> coeffs(npts * rc);
+        plan.interpolation().apply_blocks(children, coeffs, rc);
+        child = fold_blocks_local(coeffs, npts, rc, s, 2 * L.len / m);
+    }
+    return child;
+}
+
 }  // namespace core_detail
 
 ParallelRunResult parallel_toom_multiply(const BigInt& a, const BigInt& b,
                                          const ParallelConfig& cfg) {
     using namespace core_detail;
-    const EngineRunScope metrics_scope("parallel");
-
-    ParallelRunResult result;
-    const std::size_t n_bits = std::max(a.bit_length(), b.bit_length());
-    ParallelConfig effective = cfg;
-    if (!cfg.step_order.empty()) {
-        int d = 0;
-        for (char c : cfg.step_order) {
-            if (c == 'D') {
-                ++d;
-            } else if (c != 'B') {
+    ParallelRunResult out;
+    FtRunResult r = run_engine(
+        "parallel", a, b, cfg, {},
+        [&](std::size_t n_bits) {
+            ParallelConfig effective = cfg;
+            if (!cfg.step_order.empty()) {
+                int d = 0;
+                for (char c : cfg.step_order) {
+                    if (c == 'D') {
+                        ++d;
+                    } else if (c != 'B') {
+                        throw std::invalid_argument(
+                            "parallel_toom: step_order must contain only "
+                            "'B'/'D'");
+                    }
+                }
+                effective.forced_dfs_steps = d;
+            }
+            EngineRun run;
+            run.shape = resolve_shape(effective, n_bits);
+            const ResolvedShape& shape = run.shape;
+            std::string steps = cfg.step_order;
+            if (steps.empty()) {
+                steps.assign(static_cast<std::size_t>(shape.dfs_steps), 'D');
+                steps.append(static_cast<std::size_t>(shape.bfs_steps), 'B');
+            } else if (std::count(steps.begin(), steps.end(), 'B') !=
+                       shape.bfs_steps) {
                 throw std::invalid_argument(
-                    "parallel_toom: step_order must contain only 'B'/'D'");
+                    "parallel_toom: step_order must contain exactly "
+                    "log_{2k-1}(P) 'B' steps");
             }
-        }
-        effective.forced_dfs_steps = d;
-    }
-    result.shape = resolve_shape(effective, n_bits);
-    const ResolvedShape& shape = result.shape;
-    std::string steps = cfg.step_order;
-    if (steps.empty()) {
-        steps.assign(static_cast<std::size_t>(shape.dfs_steps), 'D');
-        steps.append(static_cast<std::size_t>(shape.bfs_steps), 'B');
-    } else {
-        const auto nb = static_cast<std::size_t>(
-            std::count(steps.begin(), steps.end(), 'B'));
-        if (nb != static_cast<std::size_t>(shape.bfs_steps)) {
-            throw std::invalid_argument(
-                "parallel_toom: step_order must contain exactly "
-                "log_{2k-1}(P) 'B' steps");
-        }
-    }
-
-    if (a.is_zero() || b.is_zero()) {
-        result.product = BigInt{};
-        return result;
-    }
-
-    const ToomPlan& plan = ToomPlan::make(cfg.k);
-    Machine machine(shape.processors);
-    if (cfg.trace) machine.enable_tracing();
-    if (cfg.events) machine.enable_event_log();
-    core_detail::arm_transport(machine, cfg);
-    std::vector<std::vector<BigInt>> slices(
-        static_cast<std::size_t>(shape.processors));
-
-    machine.run([&](Rank& rank) {
-        rank.phase("split");
-        std::vector<BigInt> a_loc =
-            local_input_digits(a, shape, shape.processors, rank.id());
-        std::vector<BigInt> b_loc =
-            local_input_digits(b, shape, shape.processors, rank.id());
-        // Delay faults: a straggler's slowdown lands on the critical path.
-        for (const auto& [r, rounds] : cfg.straggler_delays) {
-            if (r == rank.id()) {
-                rank.phase("straggle");
-                rank.add_latency(rounds);
-            }
-        }
-        Group world = Group::strided(0, shape.processors);
-        auto out = dist_convolve_steps(rank, plan, shape, world, 1,
-                                       std::move(a_loc), std::move(b_loc),
-                                       shape.total_digits, steps, 0);
-        // The algorithm's output is distributed (as in the paper); assembly
-        // below is verification plumbing outside the cost model.
-        slices[static_cast<std::size_t>(rank.id())] = std::move(out);
-    });
-    result.stats = machine.stats();
-    result.transport = machine.transport_stats();
-    result.events = machine.event_log();
-    if (cfg.trace && machine.tracer() != nullptr) {
-        auto t = std::make_shared<Tracer>();
-        t->bind_world(shape.processors);
-        for (const auto& m : machine.tracer()->messages()) {
-            t->record_send(m.src, m.dst, m.tag, m.words, m.phase);
-        }
-        for (const auto& p : machine.tracer()->phases()) {
-            t->record_phase(p.rank, p.phase, p.seq);
-        }
-        result.trace = std::move(t);
-    }
-
-    // The distributed result is the positional coefficient vector of the
-    // product polynomial; one carry pass recomposes the integer.
-    const std::vector<BigInt> full = unslice(slices, 1);
-    BigInt prod = recompose_digits(full, shape.digit_bits);
-    assert(!prod.is_negative());
-    result.product = a.sign() * b.sign() < 0 ? -prod : prod;
-    return result;
+            const int P = shape.processors;
+            run.spec = {P, P, P, 0, {}};
+            run.body = [&a, &b, &cfg, &plan = ToomPlan::make(cfg.k), shape,
+                        steps](Rank& rank, Slices& slices) {
+                rank.phase("split");
+                std::vector<BigInt> a_loc =
+                    local_input_digits(a, shape, shape.processors, rank.id());
+                std::vector<BigInt> b_loc =
+                    local_input_digits(b, shape, shape.processors, rank.id());
+                // Delay faults: a straggler's slowdown lands on the
+                // critical path.
+                for (const auto& [r, rounds] : cfg.straggler_delays) {
+                    if (r == rank.id()) {
+                        rank.phase("straggle");
+                        rank.add_latency(rounds);
+                    }
+                }
+                slices[static_cast<std::size_t>(rank.id())] =
+                    dist_convolve_steps(rank, plan, shape,
+                                        Group::strided(0, shape.processors), 1,
+                                        std::move(a_loc), std::move(b_loc),
+                                        shape.total_digits, steps, 0);
+            };
+            return run;
+        },
+        &out.trace);
+    out.product = std::move(r.product);
+    out.shape = r.shape;
+    out.stats = std::move(r.stats);
+    out.events = std::move(r.events);
+    out.transport = r.transport;
+    return out;
 }
 
 }  // namespace ftmul

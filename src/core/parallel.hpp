@@ -43,51 +43,4 @@ struct ParallelRunResult {
 ParallelRunResult parallel_toom_multiply(const BigInt& a, const BigInt& b,
                                          const ParallelConfig& cfg);
 
-namespace core_detail {
-
-/// Internals shared by the FT variants.
-
-/// Arm the transport guard / fault-injection shim on a freshly constructed
-/// machine per cfg (no-op when neither is requested). Every engine calls
-/// this right after building its Machine so the whole family honors the
-/// same transport configuration.
-void arm_transport(Machine& machine, const ParallelConfig& cfg);
-
-/// This rank's slice of the split digits of |v| (layout bs=1 over P ranks).
-std::vector<BigInt> local_input_digits(const BigInt& v,
-                                       const ResolvedShape& shape, int nranks,
-                                       int my_index);
-
-/// The recursive distributed convolution; returns this rank's slice of the
-/// result vector. See layout.hpp for the slice invariant. Performs dfs_left
-/// DFS steps followed by BFS steps until the group is singleton (the
-/// optimal order per Ballard et al., cited in Section 3).
-std::vector<BigInt> dist_convolve(Rank& rank, const ToomPlan& plan,
-                                  const ResolvedShape& shape, const Group& g,
-                                  std::size_t bs, std::vector<BigInt> a_loc,
-                                  std::vector<BigInt> b_loc, std::size_t len,
-                                  int dfs_left, int level);
-
-/// Generalized traversal: @p steps spells the remaining schedule, 'D' for a
-/// communication-free DFS step, 'B' for a row-exchange BFS step; the leaf
-/// runs when steps are exhausted (the group must be singleton by then, i.e.
-/// steps must contain exactly log_{2k-1}(|g|) 'B's).
-std::vector<BigInt> dist_convolve_steps(Rank& rank, const ToomPlan& plan,
-                                        const ResolvedShape& shape,
-                                        const Group& g, std::size_t bs,
-                                        std::vector<BigInt> a_loc,
-                                        std::vector<BigInt> b_loc,
-                                        std::size_t len,
-                                        std::string_view steps, int level);
-
-/// Leaf kernel: exact convolution of the two (signed) digit blocks via
-/// sequential Toom-Cook (toom_convolve), padded to exactly twice the input
-/// length.
-std::vector<BigInt> leaf_multiply(const ToomPlan& plan,
-                                  const ResolvedShape& shape,
-                                  std::vector<BigInt> a_loc,
-                                  std::vector<BigInt> b_loc);
-
-}  // namespace core_detail
-
 }  // namespace ftmul

@@ -5,6 +5,7 @@
 
 #include "bigint/ops_counter.hpp"
 #include "core/checkpoint.hpp"
+#include "core/driver.hpp"
 #include "core/ft_linear.hpp"
 #include "core/ft_mixed.hpp"
 #include "core/ft_multistep.hpp"
@@ -16,22 +17,6 @@
 namespace ftmul {
 
 namespace {
-
-int exact_log(std::uint64_t v, std::uint64_t base) {
-    int l = 0;
-    while (v > 1) {
-        if (v % base != 0) return -1;
-        v /= base;
-        ++l;
-    }
-    return l;
-}
-
-std::size_t ipow(std::size_t b, int e) {
-    std::size_t r = 1;
-    for (int i = 0; i < e; ++i) r *= b;
-    return r;
-}
 
 std::vector<int> iota_ranks(int n) {
     std::vector<int> r(static_cast<std::size_t>(n));
@@ -130,131 +115,50 @@ FtEngine ft_engine_from_string(std::string_view name) {
 }
 
 FaultSurface fault_surface(const ResilientConfig& cfg) {
-    const int k = cfg.base.k;
-    const int npts = 2 * k - 1;
-    const int P = cfg.base.processors;
-    const int f = cfg.faults;
-    const int bfs = exact_log(static_cast<std::uint64_t>(P),
-                              static_cast<std::uint64_t>(npts));
-    if (bfs < 1) {
-        throw std::invalid_argument(
-            "fault_surface: processors must be a positive power of 2k-1");
-    }
-    FaultSurface s;
-    switch (cfg.engine) {
-        case FtEngine::Linear: {
-            s.world = P + f * npts;
-            s.ranks = iota_ranks(P);  // data ranks only
-            for (int lv = 0; lv < bfs; ++lv) {
-                s.phases.push_back("eval-L" + std::to_string(lv));
-            }
-            s.phases.push_back("leaf-mul");
-            for (int lv = bfs - 1; lv >= 0; --lv) {
-                s.phases.push_back("interp-L" + std::to_string(lv));
-            }
-            break;
+    const core_detail::EngineSpec spec = [&] {
+        switch (cfg.engine) {
+            case FtEngine::Linear:
+                return core_detail::ft_linear_spec({cfg.base, cfg.faults});
+            case FtEngine::Poly:
+                return core_detail::ft_poly_spec({cfg.base, cfg.faults});
+            case FtEngine::Mixed:
+                return core_detail::ft_mixed_spec({cfg.base, cfg.faults});
+            case FtEngine::Multistep:
+                return core_detail::ft_multistep_spec(
+                    {cfg.base, cfg.faults, cfg.fused_steps, cfg.point_seed});
+            case FtEngine::Replication:
+                return core_detail::replication_spec({cfg.base, cfg.faults});
+            case FtEngine::Checkpoint:
+                return core_detail::checkpoint_spec({cfg.base});
         }
-        case FtEngine::Poly: {
-            s.world = (P / npts) * (npts + f);
-            s.ranks = iota_ranks(s.world);
-            s.phases = {"mul"};
-            break;
-        }
-        case FtEngine::Mixed: {
-            const int wide = npts + f;
-            const int data_world = (P / npts) * wide;
-            s.world = data_world + f * wide;
-            s.ranks = iota_ranks(data_world);  // data region only
-            s.phases = {"eval-L0", "mul", "interp-L0"};
-            break;
-        }
-        case FtEngine::Multistep: {
-            const auto wide_data = static_cast<int>(
-                ipow(static_cast<std::size_t>(npts), cfg.fused_steps));
-            if (cfg.fused_steps < 1 || bfs < cfg.fused_steps) {
-                throw std::invalid_argument(
-                    "fault_surface: need processors >= (2k-1)^fused_steps");
-            }
-            s.world = (P / wide_data) * (wide_data + f);
-            s.ranks = iota_ranks(s.world);
-            s.phases = {"mul"};
-            break;
-        }
-        case FtEngine::Replication: {
-            s.world = (f + 1) * P;
-            s.ranks = iota_ranks(s.world);
-            // Any phase dooms the replica; "split" exists on every rank.
-            s.phases = {"split"};
-            break;
-        }
-        case FtEngine::Checkpoint: {
-            s.world = P;
-            s.ranks = iota_ranks(P);
-            s.phases = {"eval-L0", "leaf-mul", "interp-L0"};
-            break;
-        }
-    }
-    return s;
+        throw std::invalid_argument("fault_surface: unknown engine");
+    }();
+    return {spec.world, iota_ranks(spec.surface_ranks), spec.surface_phases};
 }
 
 FaultSurface soft_fault_surface(const ResilientConfig& cfg) {
-    const int k = cfg.base.k;
-    const int npts = 2 * k - 1;
-    const int P = cfg.base.processors;
-    const int bfs = exact_log(static_cast<std::uint64_t>(P),
-                              static_cast<std::uint64_t>(npts));
-    if (bfs < 1) {
-        throw std::invalid_argument(
-            "soft_fault_surface: processors must be a positive power of "
-            "2k-1");
-    }
-    FaultSurface s;
-    s.world = P + cfg.faults * npts;
-    s.ranks = iota_ranks(P);  // only data processors miscalculate
-    s.phases = {"eval-L0", "leaf-mul", "interp-L0"};
-    return s;
+    const core_detail::EngineSpec spec =
+        core_detail::ft_soft_spec({cfg.base, cfg.faults});
+    return {spec.world, iota_ranks(spec.surface_ranks), spec.surface_phases};
 }
 
 FtRunResult run_ft_engine(const BigInt& a, const BigInt& b,
                           const ResilientConfig& cfg, const FaultPlan& plan) {
     switch (cfg.engine) {
-        case FtEngine::Linear: {
-            FtLinearConfig c;
-            c.base = cfg.base;
-            c.faults = cfg.faults;
-            return ft_linear_multiply(a, b, c, plan);
-        }
-        case FtEngine::Poly: {
-            FtPolyConfig c;
-            c.base = cfg.base;
-            c.faults = cfg.faults;
-            return ft_poly_multiply(a, b, c, plan);
-        }
-        case FtEngine::Mixed: {
-            FtMixedConfig c;
-            c.base = cfg.base;
-            c.faults = cfg.faults;
-            return ft_mixed_multiply(a, b, c, plan);
-        }
-        case FtEngine::Multistep: {
-            FtMultistepConfig c;
-            c.base = cfg.base;
-            c.faults = cfg.faults;
-            c.fused_steps = cfg.fused_steps;
-            c.point_seed = cfg.point_seed;
-            return ft_multistep_multiply(a, b, c, plan);
-        }
-        case FtEngine::Replication: {
-            ReplicationConfig c;
-            c.base = cfg.base;
-            c.faults = cfg.faults;
-            return replicated_toom_multiply(a, b, c, plan);
-        }
-        case FtEngine::Checkpoint: {
-            CheckpointConfig c;
-            c.base = cfg.base;
-            return checkpoint_toom_multiply(a, b, c, plan);
-        }
+        case FtEngine::Linear:
+            return ft_linear_multiply(a, b, {cfg.base, cfg.faults}, plan);
+        case FtEngine::Poly:
+            return ft_poly_multiply(a, b, {cfg.base, cfg.faults}, plan);
+        case FtEngine::Mixed:
+            return ft_mixed_multiply(a, b, {cfg.base, cfg.faults}, plan);
+        case FtEngine::Multistep:
+            return ft_multistep_multiply(
+                a, b, {cfg.base, cfg.faults, cfg.fused_steps, cfg.point_seed},
+                plan);
+        case FtEngine::Replication:
+            return replicated_toom_multiply(a, b, {cfg.base, cfg.faults}, plan);
+        case FtEngine::Checkpoint:
+            return checkpoint_toom_multiply(a, b, {cfg.base}, plan);
     }
     throw std::invalid_argument("run_ft_engine: unknown engine");
 }
@@ -342,33 +246,11 @@ ResilientResult resilient_multiply(const BigInt& a, const BigInt& b,
         may_escalate("checkpoint-fallback")) {
         FaultPlan plan;
         if (retry_plans) plan = retry_plans("checkpoint-fallback", 0);
-        ResilientAttempt att;
-        att.strategy = "checkpoint-fallback";
-        att.faults_injected = static_cast<int>(plan.total_faults());
-        try {
-            FtRunResult r = checkpoint_toom_multiply(
-                a, b, CheckpointConfig{retry_cfg.base}, plan);
-            att.success = true;
-            att.stats = r.stats;
-            att.transport = r.transport;
-            result.transport += r.transport;
-            note_rung("hard", "checkpoint-fallback", true, &r.stats);
-            accumulate(result.stats, r.stats);
-            result.product = std::move(r.product);
-            result.shape = r.shape;
-            result.events = std::move(r.events);
-            result.attempts.push_back(std::move(att));
+        ResilientConfig checkpoint_cfg = retry_cfg;
+        checkpoint_cfg.engine = FtEngine::Checkpoint;
+        if (attempt(checkpoint_cfg, "checkpoint-fallback",
+                    "checkpoint-fallback", plan)) {
             return result;
-        } catch (const TransportFault& tf) {
-            att.error = tf.what();
-            note_rung("hard", "checkpoint-fallback", false, nullptr);
-            result.attempts.push_back(std::move(att));
-            last_error = std::current_exception();
-        } catch (const UnrecoverableFault& uf) {
-            att.error = uf.what();
-            note_rung("hard", "checkpoint-fallback", false, nullptr);
-            result.attempts.push_back(std::move(att));
-            last_error = std::current_exception();
         }
     }
 

@@ -992,7 +992,7 @@ std::string Machine::deadlock_diagnostic(
 Machine::~Machine() { release_retention(); }
 
 Tracer& Machine::enable_tracing() {
-    if (!tracer_) tracer_ = std::make_unique<Tracer>();
+    if (!tracer_) tracer_ = std::make_shared<Tracer>();
     tracer_->bind_world(size_);
     return *tracer_;
 }

@@ -279,9 +279,10 @@ public:
     TransportStats transport_stats() const noexcept;
 
     /// Turn on message/phase tracing for subsequent runs; returns the
-    /// tracer (owned by the machine, cleared at each run start).
+    /// tracer (cleared at each run start). The tracer is shared so results
+    /// can outlive the machine.
     Tracer& enable_tracing();
-    Tracer* tracer() noexcept { return tracer_.get(); }
+    std::shared_ptr<Tracer> tracer() const noexcept { return tracer_; }
 
     /// Turn on the structured event log for subsequent runs (see
     /// runtime/events.hpp); cleared and re-armed at each run start. The log
@@ -362,7 +363,7 @@ private:
     std::vector<BlockedRecv> blocked_;
     RunStats stats_;
     std::chrono::milliseconds timeout_{60000};
-    std::unique_ptr<Tracer> tracer_;
+    std::shared_ptr<Tracer> tracer_;
     std::shared_ptr<EventLog> events_;
     std::unique_ptr<ThreadPool> pool_;  ///< lazily created on first run()
 

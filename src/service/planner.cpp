@@ -8,17 +8,6 @@ namespace ftmul {
 
 namespace {
 
-/// Exact log_{base}(v); -1 when v is not a positive power of base.
-int exact_log(std::uint64_t v, std::uint64_t base) {
-    int l = 0;
-    while (v > 1) {
-        if (v % base != 0) return -1;
-        v /= base;
-        ++l;
-    }
-    return l;
-}
-
 /// Closed-form sequential Toom-k work on m digits, in word-operations:
 /// T(m) = (2k-1) T(ceil(m/k)) + c*m with a schoolbook base case. Integer
 /// arithmetic only, so the estimate is identical on every platform — the
@@ -59,18 +48,13 @@ ResilientConfig base_resilient(const PlannerPolicy& p) {
 /// Critical-path charge of one machine plan. `work` is the sequential work
 /// on the machine's digit size; the engines differ in how much of it lands
 /// on the critical path and what the coding adds per level.
-struct MachineEstimate {
-    CostCounters charge;
-    int world = 0;
-};
-
-MachineEstimate estimate_machine(const PlannerPolicy& p, FtEngine engine,
-                                 bool plain_parallel, std::uint64_t digits) {
+CostCounters estimate_machine(const PlannerPolicy& p, FtEngine engine,
+                              bool plain_parallel, std::uint64_t digits) {
     const int npts = 2 * p.k - 1;
     const int P = p.processors;
     const int f = p.faults;
-    const int bfs = exact_log(static_cast<std::uint64_t>(P),
-                              static_cast<std::uint64_t>(npts));
+    const int bfs = core_detail::exact_log(static_cast<std::uint64_t>(P),
+                                           static_cast<std::uint64_t>(npts));
     if (bfs < 1) {
         throw std::invalid_argument(
             "planner: processors must be a positive power of 2k-1");
@@ -83,70 +67,53 @@ MachineEstimate estimate_machine(const PlannerPolicy& p, FtEngine engine,
             (digits / static_cast<std::uint64_t>(P) + 1) +
         16;
 
-    MachineEstimate e;
-    e.charge.flops = per_rank;
-    e.charge.words = level_words;
-    e.charge.msgs = static_cast<std::uint64_t>(bfs) *
-                    static_cast<std::uint64_t>(npts) * 2;
-    e.charge.latency = 4 * static_cast<std::uint64_t>(bfs) + 4;
-    if (plain_parallel) {
-        e.world = P;
-        return e;
-    }
+    CostCounters charge;
+    charge.flops = per_rank;
+    charge.words = level_words;
+    charge.msgs = static_cast<std::uint64_t>(bfs) *
+                  static_cast<std::uint64_t>(npts) * 2;
+    charge.latency = 4 * static_cast<std::uint64_t>(bfs) + 4;
+    if (plain_parallel) return charge;
     switch (engine) {
         case FtEngine::Poly:
             // Redundant evaluation points widen each grid row from npts to
             // npts+f columns; per-rank work is unchanged, traffic scales
             // with the row width and decoding adds one interpolation pass.
-            e.world = (P / npts) * (npts + f);
-            e.charge.flops += 2 * digits;
-            e.charge.words = e.charge.words *
-                             static_cast<std::uint64_t>(npts + f) /
-                             static_cast<std::uint64_t>(npts);
-            e.charge.latency += 2;
+            charge.flops += 2 * digits;
+            charge.words = charge.words *
+                           static_cast<std::uint64_t>(npts + f) /
+                           static_cast<std::uint64_t>(npts);
+            charge.latency += 2;
             break;
         case FtEngine::Linear:
             // A Vandermonde code per phase: f*npts code processors, an
             // encode/decode pass at every level boundary.
-            e.world = P + f * npts;
-            e.charge.flops += 2 * digits * static_cast<std::uint64_t>(bfs);
-            e.charge.words = e.charge.words *
-                             static_cast<std::uint64_t>(npts + f) /
-                             static_cast<std::uint64_t>(npts);
-            e.charge.latency += 2 * static_cast<std::uint64_t>(bfs);
+            charge.flops += 2 * digits * static_cast<std::uint64_t>(bfs);
+            charge.words = charge.words *
+                           static_cast<std::uint64_t>(npts + f) /
+                           static_cast<std::uint64_t>(npts);
+            charge.latency += 2 * static_cast<std::uint64_t>(bfs);
             break;
-        case FtEngine::Mixed: {
+        case FtEngine::Mixed:
             // Linear + polynomial combined: the widest world, both coding
             // costs.
-            const int wide = npts + f;
-            e.world = (P / npts) * wide + f * wide;
-            e.charge.flops +=
+            charge.flops +=
                 2 * digits * (static_cast<std::uint64_t>(bfs) + 1);
-            e.charge.words = e.charge.words *
-                             static_cast<std::uint64_t>(npts + f + 1) /
-                             static_cast<std::uint64_t>(npts);
-            e.charge.latency += 2 * static_cast<std::uint64_t>(bfs) + 2;
-            break;
-        }
-        case FtEngine::Multistep:
-            e.world = P + f;
-            e.charge.flops += 4 * digits;
-            e.charge.latency += 2;
+            charge.words = charge.words *
+                           static_cast<std::uint64_t>(npts + f + 1) /
+                           static_cast<std::uint64_t>(npts);
+            charge.latency += 2 * static_cast<std::uint64_t>(bfs) + 2;
             break;
         case FtEngine::Replication:
             // f+1 replicas run the plain algorithm side by side; the
             // critical path gains only the agreement round.
-            e.world = (f + 1) * P;
-            e.charge.words += digits / static_cast<std::uint64_t>(P) + 1;
-            e.charge.latency += 2;
+            charge.words += digits / static_cast<std::uint64_t>(P) + 1;
+            charge.latency += 2;
             break;
-        case FtEngine::Checkpoint:
-            e.world = P;
-            e.charge.flops *= 2;
-            e.charge.latency += 2 * static_cast<std::uint64_t>(bfs);
-            break;
+        default:
+            break;  // plan_multiply plans no other engine
     }
-    return e;
+    return charge;
 }
 
 MultiplyPlan machine_plan(const PlannerPolicy& p, FtEngine engine,
@@ -157,10 +124,9 @@ MultiplyPlan machine_plan(const PlannerPolicy& p, FtEngine engine,
     plan.resilient = base_resilient(p);
     plan.resilient.engine = engine;
     plan.engine = plain_parallel ? "parallel" : to_string(engine);
-    const MachineEstimate e = estimate_machine(p, engine, plain_parallel,
-                                               digits);
-    plan.world = e.world;
-    plan.charge = e.charge;
+    plan.charge = estimate_machine(p, engine, plain_parallel, digits);
+    plan.world =
+        plain_parallel ? p.processors : fault_surface(plan.resilient).world;
     plan.modeled_us = modeled_us_of(plan.charge, p.cost_model);
     return plan;
 }
