@@ -47,6 +47,21 @@ TEST(FtSoft, CleanRunVerifies) {
     EXPECT_EQ(res.extra_processors, 6);  // f * (2k-1)
 }
 
+TEST(FtSoft, HonoursTheEventsFlag) {
+    Rng rng{3};
+    const BigInt a = random_bits(rng, 2500), b = random_bits(rng, 2000);
+    auto cfg = make_cfg(2, 9);
+    cfg.base.events = true;
+    const auto res = ft_soft_multiply(a, b, cfg, {});
+    EXPECT_EQ(res.product, a * b);
+    ASSERT_NE(res.events, nullptr);
+    int verify_phases = 0;
+    for (const Event& e : res.events->of_kind(EventKind::PhaseBegin)) {
+        verify_phases += e.phase.rfind("verify-", 0) == 0;
+    }
+    EXPECT_GT(verify_phases, 0);
+}
+
 struct SoftCase {
     int k;
     int P;
