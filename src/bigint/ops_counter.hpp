@@ -21,6 +21,10 @@ public:
     /// Reset this thread's tally to zero.
     static void reset() noexcept { tally_ = 0; }
 
+    /// Overwrite this thread's tally: the fiber executor saves and restores
+    /// it around every switch, so each rank keeps its own tally.
+    static void set(std::uint64_t n) noexcept { tally_ = n; }
+
 private:
     // Defined inline so every translation unit sees the constant initializer
     // and reads the slot directly, not through a TLS init wrapper: GCC 12's

@@ -67,9 +67,10 @@ FtRunResult run_engine(const char* name, const BigInt& a, const BigInt& b,
 
     // The algorithm's output is distributed (as in the paper); assembly is
     // verification plumbing outside the cost model. The slices hold the
-    // positional coefficient vector of the product polynomial; one carry
-    // pass recomposes the integer.
-    BigInt prod = recompose_digits(unslice(slices, 1), run.shape.digit_bits);
+    // positional coefficient vector of the product polynomial; one pass
+    // adds each coefficient in at its bit offset.
+    BigInt prod =
+        recompose_digits_linear(unslice(slices, 1), run.shape.digit_bits);
     assert(!prod.is_negative());
     result.product = a.sign() * b.sign() < 0 ? -prod : prod;
     return result;

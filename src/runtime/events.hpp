@@ -22,7 +22,7 @@ enum class EventKind {
     RecoveryBegin,  ///< a recovery protocol started (ranks = the dead)
     RecoveryEnd,    ///< recovery finished; counters = its F/BW/L cost
     Memory,         ///< new local working-set high-water mark (words)
-    Deadlock,       ///< a receive timed out; ranks = every blocked rank
+    Deadlock,       ///< every unfinished rank parked; ranks = all of them
     Transport,      ///< frame defect detected / retransmit (note = what)
 };
 

@@ -153,16 +153,27 @@ private:
                               const std::string& phase,
                               const std::vector<int>& dead,
                               const std::string& detail) {
-        std::string msg = engine + ": unrecoverable fault set";
-        if (!phase.empty()) msg += " at phase \"" + phase + "\"";
+        // Appends only: GCC 12's -Wrestrict misfires on `"..." +
+        // std::string&&` in every translation unit that inlines this.
+        std::string msg = engine;
+        msg += ": unrecoverable fault set";
+        if (!phase.empty()) {
+            msg += " at phase \"";
+            msg += phase;
+            msg += '"';
+        }
         if (!dead.empty()) {
             std::vector<int> sorted = dead;
             std::sort(sorted.begin(), sorted.end());
             msg += " (dead ranks";
-            for (int r : sorted) msg += " " + std::to_string(r);
-            msg += ")";
+            for (int r : sorted) {
+                msg += ' ';
+                msg += std::to_string(r);
+            }
+            msg += ')';
         }
-        msg += ": " + detail;
+        msg += ": ";
+        msg += detail;
         return msg;
     }
 

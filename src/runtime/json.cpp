@@ -74,14 +74,15 @@ std::string Json::quote(const std::string& s) {
 }
 
 void Json::write(std::string& out, int indent, int depth) const {
-    const std::string pad =
-        indent > 0 ? "\n" + std::string(static_cast<std::size_t>(
-                               indent * (depth + 1)), ' ')
-                   : "";
-    const std::string close_pad =
-        indent > 0
-            ? "\n" + std::string(static_cast<std::size_t>(indent * depth), ' ')
-            : "";
+    // Built by appends: GCC 12's -Wrestrict misfires on "\n" + string&&.
+    std::string pad;
+    std::string close_pad;
+    if (indent > 0) {
+        close_pad = '\n';
+        close_pad.append(static_cast<std::size_t>(indent * depth), ' ');
+        pad = close_pad;
+        pad.append(static_cast<std::size_t>(indent), ' ');
+    }
     switch (type_) {
         case Type::Null: out += "null"; break;
         case Type::Bool: out += bool_ ? "true" : "false"; break;

@@ -8,7 +8,7 @@
 
 #include "bigint/ops_counter.hpp"
 #include "bigint/serialize.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/executor.hpp"
 
 #include <atomic>
 
@@ -409,37 +409,17 @@ PayloadBuf Rank::recv_buf(int src, int tag) {
 }
 
 PayloadBuf Rank::recv_frame(int src, int tag) {
-    machine_.note_blocked(id_, src, tag, current_phase_);
+    Machine::ParkRecord& park = machine_.parked_[static_cast<std::size_t>(id_)];
+    park = {true, src, tag, &current_phase_};
     PayloadBuf payload;
     try {
         ProfileScope blocked(machine_.metric_blocked_us_);
-        payload = machine_.mailbox(id_).pop(src, tag, machine_.timeout_);
-    } catch (const RecvTimeout&) {
-        // Turn the bare timeout into a structured deadlock diagnostic:
-        // every rank still parked in a receive, with its (src, tag, phase).
-        // The snapshot is taken while this rank is still registered, so the
-        // diagnostic includes the thrower itself.
-        std::vector<int> blocked_ranks;
-        const std::string who = machine_.deadlock_diagnostic(blocked_ranks);
-        machine_.note_unblocked(id_);
-        if (machine_.events_) {
-            Event e;
-            e.kind = EventKind::Deadlock;
-            e.phase = current_phase_;
-            e.peer = src;
-            e.tag = tag;
-            e.ranks = blocked_ranks;
-            emit(std::move(e));
-        }
-        throw RecvTimeout(
-            "deadlock: rank " + std::to_string(id_) + " timed out waiting "
-            "for src=" + std::to_string(src) + " tag=" + std::to_string(tag) +
-            " at phase \"" + current_phase_ + "\"; blocked ranks:\n" + who);
+        payload = machine_.mailbox(id_).pop(src, tag);
     } catch (...) {
-        machine_.note_unblocked(id_);
+        park.waiting = false;
         throw;
     }
-    machine_.note_unblocked(id_);
+    park.waiting = false;
     if (machine_.events_) {
         Event e;
         e.kind = EventKind::MessageRecv;
@@ -726,7 +706,9 @@ void Rank::note_memory(std::uint64_t words) {
 // ---------------------------------------------------------------------------
 
 Machine::Machine(int world_size, FaultPlan plan)
-    : size_(world_size), plan_(std::move(plan)) {
+    : size_(world_size),
+      plan_(std::move(plan)),
+      carrier_offset_(executor::next_offset()) {
     if (world_size <= 0) {
         throw std::invalid_argument("Machine: world_size must be positive");
     }
@@ -749,7 +731,7 @@ Machine::Machine(int world_size, FaultPlan plan)
         "sequence numbers covered by receiver ack watermarks, cumulative");
     metric_blocked_us_ = metrics::histogram(
         "ftmul_machine_blocked_recv_us", {}, duration_buckets_us(),
-        "wall-clock a rank spent parked in recv()");
+        "wall-clock a rank fiber spent parked in recv()");
     metric_runs_ = metrics::counter("ftmul_machine_runs_total", {},
                                     "Machine::run() invocations");
     metric_run_us_ =
@@ -765,7 +747,7 @@ Machine::Machine(int world_size, FaultPlan plan)
     for (int i = 0; i < world_size; ++i) {
         mailboxes_.push_back(std::make_unique<Mailbox>(world_size));
     }
-    blocked_.resize(static_cast<std::size_t>(world_size));
+    parked_.resize(static_cast<std::size_t>(world_size));
     retain_.reserve(static_cast<std::size_t>(world_size));
     for (int i = 0; i < world_size; ++i) {
         retain_.push_back(std::make_unique<RetainShard>());
@@ -957,35 +939,24 @@ std::size_t Machine::mailbox_live_slots(int rank) const {
     return mailboxes_[static_cast<std::size_t>(rank)]->live_slots();
 }
 
-void Machine::note_blocked(int rank, int src, int tag,
-                           const std::string& phase) {
-    std::lock_guard<std::mutex> lock(blocked_mu_);
-    auto& b = blocked_[static_cast<std::size_t>(rank)];
-    b.blocked = true;
-    b.src = src;
-    b.tag = tag;
-    b.phase = phase;
-}
-
-void Machine::note_unblocked(int rank) {
-    std::lock_guard<std::mutex> lock(blocked_mu_);
-    blocked_[static_cast<std::size_t>(rank)].blocked = false;
-}
-
 std::string Machine::deadlock_diagnostic(
-    std::vector<int>& blocked_ranks) const {
-    std::lock_guard<std::mutex> lock(blocked_mu_);
+    std::vector<int>& parked_ranks) const {
     std::string out;
-    blocked_ranks.clear();
+    parked_ranks.clear();
     for (int r = 0; r < size_; ++r) {
-        const auto& b = blocked_[static_cast<std::size_t>(r)];
-        if (!b.blocked) continue;
-        blocked_ranks.push_back(r);
-        out += "  rank " + std::to_string(r) + " waiting for src=" +
-               std::to_string(b.src) + " tag=" + std::to_string(b.tag) +
-               " at phase \"" + b.phase + "\"\n";
+        const ParkRecord& p = parked_[static_cast<std::size_t>(r)];
+        if (!p.waiting) continue;
+        parked_ranks.push_back(r);
+        out += "  rank ";
+        out += std::to_string(r);
+        out += " waiting for src=";
+        out += std::to_string(p.src);
+        out += " tag=";
+        out += std::to_string(p.tag);
+        out += " at phase \"";
+        out += *p.phase;
+        out += "\"\n";
     }
-    if (out.empty()) out = "  (no other rank blocked)\n";
     return out;
 }
 
@@ -1014,10 +985,7 @@ void Machine::run(const std::function<void(Rank&)>& body) {
     // Likewise the transport state: retention and accounting are per run.
     release_retention();
     tcounters_->reset();
-    {
-        std::lock_guard<std::mutex> lock(blocked_mu_);
-        for (auto& b : blocked_) b.blocked = false;
-    }
+    for (ParkRecord& p : parked_) p.waiting = false;
 
     std::vector<std::vector<std::pair<std::string, CostCounters>>> ledgers(
         static_cast<std::size_t>(size_));
@@ -1055,20 +1023,45 @@ void Machine::run(const std::function<void(Rank&)>& body) {
         peaks[static_cast<std::size_t>(r)] = rank.peak_memory_;
     };
 
-    // Rank r always runs on pool worker r, parked between runs.
-    if (!pool_) {
-        pool_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(size_));
-    }
-    pool_->run([&](std::size_t i) { rank_body(static_cast<int>(i)); });
+    // Every unfinished rank is parked: no message can ever arrive. Fail the
+    // run with every parked rank's (src, tag, phase), then release them.
+    const auto on_deadlock = [&] {
+        std::vector<int> parked;
+        std::string msg = "deadlock: every unfinished rank is parked in a "
+                          "receive no rank can satisfy; parked ranks:\n";
+        msg += deadlock_diagnostic(parked);
+        if (events_ && !parked.empty()) {
+            const ParkRecord& first =
+                parked_[static_cast<std::size_t>(parked.front())];
+            Event e;
+            e.kind = EventKind::Deadlock;
+            e.rank = parked.front();
+            e.phase = *first.phase;
+            e.peer = first.src;
+            e.tag = first.tag;
+            e.ranks = parked;
+            events_->record(std::move(e));
+        }
+        {
+            std::lock_guard<std::mutex> lock(error_mu);
+            if (!first_error) {
+                first_error = std::make_exception_ptr(DeadlockError(msg));
+            }
+        }
+        for (auto& mb : mailboxes_) mb->abort();
+    };
+    executor::run(
+        static_cast<std::size_t>(size_), carrier_offset_,
+        [&](std::size_t i) { rank_body(static_cast<int>(i)); }, on_deadlock);
     if (first_error) std::rethrow_exception(first_error);
 
     // Post-run residue sweep: frames nobody popped — duplicates of
     // single-message streams, fire-and-forget traffic (e.g. checkpoint
     // shares read only on recovery) — still get inspected, so the detection
     // ledger balances: every injected corruption and drop is attributed
-    // even when its slot was never on a receive path. Serial, after the
-    // join, so it cannot race the rank threads; intact residue is simply
-    // reclaimed (an unread healthy frame is not a fault).
+    // even when its slot was never on a receive path. Serial, after every
+    // rank finished, so it cannot race the rank fibers; intact residue is
+    // simply reclaimed (an unread healthy frame is not a fault).
     if (transport_guard_) {
         TransportCounterBlock& tc = *tcounters_;
         static const Counter residue_fails = metrics::counter(

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <deque>
 #include <functional>
 #include <map>
@@ -27,7 +26,6 @@
 namespace ftmul {
 
 class Machine;
-class ThreadPool;
 
 /// Per-processor execution context handed to the SPMD body: identity,
 /// point-to-point messaging, phase/cost bookkeeping and fault queries.
@@ -114,9 +112,9 @@ private:
     void close_phase();
     void emit(Event e);
 
-    /// The ungated blocking receive (mailbox pop + deadlock diagnostic +
-    /// MessageRecv event) — one *frame*, which under the transport guard may
-    /// be a duplicate, out of order, corrupt or a drop tombstone.
+    /// The ungated blocking receive (park record + mailbox pop + MessageRecv
+    /// event) — one *frame*, which under the transport guard may be a
+    /// duplicate, out of order, corrupt or a drop tombstone.
     PayloadBuf recv_frame(int src, int tag);
 
     /// Guarded receive: verify / dedup / reorder-stash frames and drive the
@@ -167,7 +165,7 @@ private:
     CostCounters recovery_base_{};
     std::vector<int> recovery_dead_;
 
-    // Transport-guard state, touched only by this rank's thread.
+    // Transport-guard state, touched only by this rank's fiber.
     std::map<std::pair<int, int>, std::uint64_t> send_seq_;  ///< (dst,tag)
     std::map<std::pair<int, int>, std::uint64_t> recv_seq_;  ///< (src,tag)
     /// Watermark last published (piggybacked or standalone) per incoming
@@ -182,10 +180,12 @@ private:
 };
 
 /// A simulated P-processor distributed-memory machine: each rank runs the
-/// SPMD body on its own thread with a private mailbox; there is no shared
-/// algorithm state. Rank r of every run executes on the same worker of a
-/// persistent thread pool, parked between runs. Costs are gathered per rank
-/// per phase and combined into RunStats after the join.
+/// SPMD body as a fiber with a private mailbox; there is no shared algorithm
+/// state. The fibers run on the process-wide carrier threads of
+/// runtime/executor.hpp, rank r of every run of one Machine on the same
+/// carrier, so building and running a Machine starts no thread once the
+/// carriers exist. Costs are gathered per rank per phase and combined into
+/// RunStats after every rank finished.
 class Machine {
 public:
     /// @param world_size number of processors (standard + code processors).
@@ -199,15 +199,16 @@ public:
     int size() const noexcept { return size_; }
     const FaultPlan& fault_plan() const noexcept { return plan_; }
 
-    /// Execute the SPMD body on every rank and join. Any exception thrown by
-    /// a rank (other than a scheduled fault) is rethrown here.
+    /// Execute the SPMD body on every rank and wait for all of them. Any
+    /// exception thrown by a rank (other than a scheduled fault) is rethrown
+    /// here. When every unfinished rank is parked in a receive, no message
+    /// can ever arrive: the run fails at once with DeadlockError, naming
+    /// every parked rank's (src, tag, phase), and logs a Deadlock event.
+    /// Must not be called from inside a rank body.
     void run(const std::function<void(Rank&)>& body);
 
     /// Costs of the last run.
     const RunStats& stats() const noexcept { return stats_; }
-
-    /// Deadlock-detection receive timeout (default 60 s).
-    void set_recv_timeout(std::chrono::milliseconds t) { timeout_ = t; }
 
     /// Live (src, tag) queue slots in @p rank's mailbox — regression hook
     /// for the seed's slot-leak bug (drained slots must be reclaimed).
@@ -293,23 +294,21 @@ public:
 private:
     friend class Rank;
 
-    /// One rank's parked receive, for the deadlock diagnostic: which peer
-    /// and tag it waits on, at which phase. Registered around Mailbox::pop
-    /// so a timing-out rank can name every blocked peer instead of only
-    /// itself.
-    struct BlockedRecv {
-        bool blocked = false;
+    /// One rank's receive, for the deadlock diagnostic: which peer and tag
+    /// it waits on, at which phase. Each rank writes only its own record,
+    /// around Mailbox::pop; the diagnostic reads them only when every
+    /// unfinished rank is parked, after the executor's runnable count
+    /// reached zero, which orders every write before the read.
+    struct ParkRecord {
+        bool waiting = false;
         int src = -1;
         int tag = 0;
-        std::string phase;
+        const std::string* phase = nullptr;  ///< the rank's current phase
     };
 
-    void note_blocked(int rank, int src, int tag, const std::string& phase);
-    void note_unblocked(int rank);
-
-    /// Human-readable snapshot of every currently blocked rank, one line
-    /// per rank; fills @p blocked_ranks with their ids (ascending).
-    std::string deadlock_diagnostic(std::vector<int>& blocked_ranks) const;
+    /// Human-readable snapshot of every parked rank, one line per rank;
+    /// fills @p parked_ranks with their ids (ascending).
+    std::string deadlock_diagnostic(std::vector<int>& parked_ranks) const;
 
     Mailbox& mailbox(int r) {
         return *mailboxes_[static_cast<std::size_t>(r)];
@@ -359,13 +358,11 @@ private:
     int size_;
     FaultPlan plan_;
     std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-    mutable std::mutex blocked_mu_;
-    std::vector<BlockedRecv> blocked_;
+    std::vector<ParkRecord> parked_;
+    std::size_t carrier_offset_;  ///< where rank 0 sits among the carriers
     RunStats stats_;
-    std::chrono::milliseconds timeout_{60000};
     std::shared_ptr<Tracer> tracer_;
     std::shared_ptr<EventLog> events_;
-    std::unique_ptr<ThreadPool> pool_;  ///< lazily created on first run()
 
     bool transport_guard_ = false;
     TransportFaultModel transport_model_{};
@@ -383,7 +380,7 @@ private:
     Gauge metric_retained_words_peak_;  ///< high-water of the same
     Gauge metric_retained_frames_peak_;
     Gauge metric_acked_seqs_;           ///< cumulative watermark coverage
-    Histogram metric_blocked_us_;
+    Histogram metric_blocked_us_;       ///< parked time per receive
     Counter metric_runs_;
     Histogram metric_run_us_;
     Histogram metric_recovery_flops_;

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
 #include <mutex>
+#include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "runtime/executor.hpp"
 
 namespace ftmul {
 
@@ -40,22 +43,21 @@ struct Mailbox::Slot {
 /// instructions and never contended across sources.
 struct Mailbox::Shard {
     std::mutex mu;
-    std::condition_variable cv;
-    std::vector<Slot> table{kInitialTableSize};
+    std::vector<Slot> table;  ///< empty until the first insert
     std::size_t used = 0;
     std::vector<PayloadBuf> spare;  ///< recycled queue storage
+    Fiber* waiter = nullptr;  ///< the parked popper, if any
+    int waiting_tag = 0;      ///< the tag it waits on
 };
 
-Mailbox::Mailbox(int world_size) {
-    shards_.reserve(static_cast<std::size_t>(world_size));
-    for (int i = 0; i < world_size; ++i) {
-        shards_.push_back(std::make_unique<Shard>());
-    }
-}
+Mailbox::Mailbox(int world_size)
+    : shards_(std::make_unique<Shard[]>(static_cast<std::size_t>(world_size))),
+      nshards_(static_cast<std::size_t>(world_size)) {}
 
 Mailbox::~Mailbox() = default;
 
 Mailbox::Slot* Mailbox::find_slot(Shard& s, int tag) const {
+    if (s.table.empty()) return nullptr;
     const std::size_t mask = s.table.size() - 1;
     std::size_t i = tag_hash(tag) & mask;
     while (s.table[i].used) {
@@ -67,7 +69,8 @@ Mailbox::Slot* Mailbox::find_slot(Shard& s, int tag) const {
 
 void Mailbox::grow_table(Shard& s) {
     std::vector<Slot> old = std::move(s.table);
-    s.table = std::vector<Slot>(old.size() * 2);
+    s.table = std::vector<Slot>(old.empty() ? kInitialTableSize
+                                            : old.size() * 2);
     const std::size_t mask = s.table.size() - 1;
     for (Slot& slot : old) {
         if (!slot.used) continue;
@@ -130,69 +133,96 @@ void Mailbox::erase_slot(Shard& s, std::size_t idx) {
 }
 
 void Mailbox::push(int src, int tag, PayloadBuf payload) {
-    Shard& s = *shards_[static_cast<std::size_t>(src)];
+    Shard& s = shards_[static_cast<std::size_t>(src)];
+    Fiber* woken = nullptr;
     {
         std::lock_guard<std::mutex> lock(s.mu);
         find_or_insert(s, tag).q.push_back(std::move(payload));
+        if (s.waiter != nullptr && s.waiting_tag == tag) {
+            woken = std::exchange(s.waiter, nullptr);
+        }
     }
-    s.cv.notify_one();
+    if (woken != nullptr) executor::wake(woken);
 }
 
 void Mailbox::push_batch(int src, std::vector<TaggedPayload> items) {
     if (items.empty()) return;
-    Shard& s = *shards_[static_cast<std::size_t>(src)];
+    Shard& s = shards_[static_cast<std::size_t>(src)];
+    Fiber* woken = nullptr;
     {
         std::lock_guard<std::mutex> lock(s.mu);
         for (TaggedPayload& it : items) {
             find_or_insert(s, it.tag).q.push_back(std::move(it.buf));
+            if (s.waiter != nullptr && s.waiting_tag == it.tag) {
+                woken = std::exchange(s.waiter, nullptr);
+            }
         }
     }
-    s.cv.notify_one();
+    if (woken != nullptr) executor::wake(woken);
 }
 
 void Mailbox::abort() {
     aborted_.store(true, std::memory_order_release);
-    for (auto& s : shards_) {
-        std::lock_guard<std::mutex> lock(s->mu);
-        s->cv.notify_all();
+    for (std::size_t src = 0; src < nshards_; ++src) {
+        Shard& s = shards_[src];
+        Fiber* woken = nullptr;
+        {
+            std::lock_guard<std::mutex> lock(s.mu);
+            woken = std::exchange(s.waiter, nullptr);
+        }
+        if (woken != nullptr) executor::wake(woken);
     }
 }
 
-PayloadBuf Mailbox::pop(int src, int tag, std::chrono::milliseconds timeout) {
-    Shard& s = *shards_[static_cast<std::size_t>(src)];
+PayloadBuf Mailbox::pop(int src, int tag) {
+    Shard& s = shards_[static_cast<std::size_t>(src)];
     std::unique_lock<std::mutex> lock(s.mu);
-    Slot* slot = nullptr;
-    if (!s.cv.wait_for(lock, timeout, [&] {
-            if (aborted_.load(std::memory_order_acquire)) return true;
-            slot = find_slot(s, tag);
-            return slot != nullptr && slot->head < slot->q.size();
-        })) {
-        throw RecvTimeout("recv timed out waiting for src=" +
-                          std::to_string(src) +
-                          " tag=" + std::to_string(tag));
+    for (;;) {
+        if (aborted_.load(std::memory_order_acquire)) throw RunAborted{};
+        Slot* slot = find_slot(s, tag);
+        if (slot != nullptr && slot->head < slot->q.size()) {
+            PayloadBuf out = std::move(slot->q[slot->head]);
+            ++slot->head;
+            if (slot->head == slot->q.size()) {
+                erase_slot(s, static_cast<std::size_t>(slot - s.table.data()));
+            }
+            return out;
+        }
+        Fiber* self = executor::current();
+        if (self == nullptr) {
+            std::string msg =
+                "Mailbox::pop: receive on an empty queue outside a rank "
+                "fiber would block forever (src=";
+            msg += std::to_string(src);
+            msg += " tag=";
+            msg += std::to_string(tag);
+            msg += ")";
+            throw std::logic_error(msg);
+        }
+        // Registered under the shard mutex, so a push or abort that comes
+        // after the check above finds the waiter; a wake that lands before
+        // the park below is not lost (only this fiber's carrier resumes it).
+        s.waiter = self;
+        s.waiting_tag = tag;
+        lock.unlock();
+        executor::park();
+        lock.lock();
     }
-    if (aborted_.load(std::memory_order_acquire)) throw RunAborted{};
-    PayloadBuf out = std::move(slot->q[slot->head]);
-    ++slot->head;
-    if (slot->head == slot->q.size()) {
-        erase_slot(s, static_cast<std::size_t>(slot - s.table.data()));
-    }
-    return out;
 }
 
 std::size_t Mailbox::live_slots() const {
     std::size_t total = 0;
-    for (const auto& s : shards_) {
-        std::lock_guard<std::mutex> lock(s->mu);
-        total += s->used;
+    for (std::size_t src = 0; src < nshards_; ++src) {
+        std::lock_guard<std::mutex> lock(shards_[src].mu);
+        total += shards_[src].used;
     }
     return total;
 }
 
 std::vector<ResidueFrame> Mailbox::drain_residue() {
     std::vector<ResidueFrame> out;
-    for (std::size_t src = 0; src < shards_.size(); ++src) {
-        Shard& s = *shards_[src];
+    for (std::size_t src = 0; src < nshards_; ++src) {
+        Shard& s = shards_[src];
         std::lock_guard<std::mutex> lock(s.mu);
         // The open-addressed table's slot order depends on hashing; collect
         // per shard and sort by tag so the sweep order is deterministic.

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -12,15 +11,20 @@
 
 namespace ftmul {
 
-/// Thrown when a receive waits past the deadlock-detection timeout; turns a
-/// communication-protocol bug into a test failure instead of a hang.
-class RecvTimeout : public std::runtime_error {
+class Fiber;
+
+/// Thrown by Machine::run when every unfinished rank is parked in a receive
+/// that no rank can ever satisfy: a communication-protocol bug, reported
+/// the moment it happens instead of as a hang. The message names every
+/// parked rank with the (src, tag) it waits on and its phase.
+class DeadlockError : public std::runtime_error {
 public:
-    explicit RecvTimeout(const std::string& what) : std::runtime_error(what) {}
+    explicit DeadlockError(const std::string& what)
+        : std::runtime_error(what) {}
 };
 
-/// Thrown out of a blocked receive when another rank aborted the run, so the
-/// whole machine fails fast instead of cascading into timeouts.
+/// Thrown out of a parked receive when another rank aborted the run (or the
+/// run deadlocked), so the whole machine fails fast with the first error.
 class RunAborted : public std::runtime_error {
 public:
     RunAborted() : std::runtime_error("run aborted by another rank") {}
@@ -50,6 +54,10 @@ struct ResidueFrame {
 /// machine), each shard guarding a small flat open-addressed tag table with
 /// its own mutex: no global lock, no per-pop tree lookup, and drained queue
 /// slots are reclaimed instead of leaking for the life of the run.
+///
+/// A pop on an empty queue parks the calling rank fiber (runtime/
+/// executor.hpp) as its shard's waiter, registered under the shard mutex;
+/// the push that fills the awaited (src, tag) queue wakes it.
 class Mailbox {
 public:
     explicit Mailbox(int world_size);
@@ -58,10 +66,14 @@ public:
     void push(int src, int tag, PayloadBuf payload);
     void push_batch(int src, std::vector<TaggedPayload> items);
 
-    /// Wake any blocked pop and make it throw RunAborted.
+    /// Wake every parked pop and make it, and every later pop, throw
+    /// RunAborted.
     void abort();
 
-    PayloadBuf pop(int src, int tag, std::chrono::milliseconds timeout);
+    /// Next message of the (src, tag) stream. On an empty queue the calling
+    /// rank fiber parks until a push fills it; outside a fiber that would
+    /// block forever, so it throws std::logic_error instead.
+    PayloadBuf pop(int src, int tag);
 
     /// Live (src, tag) queue slots currently held — drained slots must be
     /// reclaimed, so this stays bounded by the number of in-flight
@@ -84,7 +96,11 @@ private:
     void erase_slot(Shard& s, std::size_t idx);
     static void grow_table(Shard& s);
 
-    std::vector<std::unique_ptr<Shard>> shards_;
+    /// One shard per source, in one allocation; a shard's tag table is
+    /// allocated by its first push, so a P-rank machine's P^2 shards cost
+    /// little where traffic is sparse.
+    std::unique_ptr<Shard[]> shards_;
+    std::size_t nshards_ = 0;
     std::atomic<bool> aborted_{false};
 };
 

@@ -80,6 +80,10 @@ struct ThreadCache {
         const std::uint64_t gen = g_generation.load(std::memory_order_acquire);
         if (generation == gen) return;
         generation = gen;
+        clear();
+    }
+
+    void clear() noexcept {
         for (std::size_t c = 0; c < kNumClasses; ++c) {
             for (std::size_t i = 0; i < count[c]; ++i) {
                 std::vector<std::uint64_t>().swap(bufs[c][i]);
@@ -134,6 +138,8 @@ void MsgPool::trim() {
         gc.bufs.clear();
     }
 }
+
+void MsgPool::release_thread_cache() noexcept { thread_cache().clear(); }
 
 PayloadBuf MsgPool::acquire(std::size_t capacity_words) {
     g_stats.acquires.fetch_add(1, std::memory_order_relaxed);

@@ -112,6 +112,10 @@ public:
     /// threads next touch the pool; the shared spill pool empties now).
     void trim();
 
+    /// Free the calling thread's cached buffers now, as thread exit does.
+    /// Carrier threads call it when they go idle between runs.
+    static void release_thread_cache() noexcept;
+
     /// Adaptive spill-depth sizing: a P-rank all-to-all keeps O(P^2) small
     /// frames in flight, so Machine construction reports its world size and
     /// the per-class spill depths grow monotonically to cover the largest

@@ -51,13 +51,13 @@ void check_rate(const char* what, double rate) {
 
 }  // namespace
 
-std::uint64_t fnv1a_words(std::span<const std::uint64_t> words) noexcept {
-    std::uint64_t h = 1469598103934665603ull;
+std::uint64_t frame_checksum(std::span<const std::uint64_t> words) noexcept {
+    std::uint64_t h = 0x243f6a8885a308d3ull;
     for (const std::uint64_t w : words) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (w >> (8 * i)) & 0xffull;
-            h *= 1099511628211ull;
-        }
+        // The fold carries the top bits down: with a bare (h ^ w) * odd, the
+        // same top-bit flip in two words would cancel.
+        h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+        h ^= h >> 32;
     }
     return h;
 }
@@ -91,7 +91,7 @@ std::uint64_t frame_ack_count(std::uint64_t ack) noexcept {
 void seal_frame(std::vector<std::uint64_t>& frame, int src, int dst, int tag,
                 std::uint64_t seq, std::uint64_t ack) {
     const std::uint64_t n = frame.size();
-    const std::uint64_t sum = fnv1a_words({frame.data(), frame.size()});
+    const std::uint64_t sum = frame_checksum({frame.data(), frame.size()});
     frame.push_back((static_cast<std::uint64_t>(kFrameMagicLive) << 32) |
                     static_cast<std::uint32_t>(n));
     frame.push_back(sum);
@@ -104,7 +104,7 @@ void seal_tombstone(std::vector<std::uint64_t>& frame, int src, int dst,
                     int tag, std::uint64_t seq, std::uint64_t ack) {
     frame.clear();
     frame.push_back(static_cast<std::uint64_t>(kFrameMagicDropped) << 32);
-    frame.push_back(fnv1a_words({}));
+    frame.push_back(frame_checksum({}));
     frame.push_back(seq);
     frame.push_back(frame_route(src, dst, tag));
     frame.push_back(ack);
@@ -134,7 +134,7 @@ FrameVerdict inspect_frame(std::span<const std::uint64_t> frame, int src,
     v.seq = seq;
     v.ack = ack;
     v.payload_words = n;
-    v.state = fnv1a_words(frame.first(n)) == sum ? FrameState::Intact
+    v.state = frame_checksum(frame.first(n)) == sum ? FrameState::Intact
                                                  : FrameState::PayloadCorrupt;
     return v;
 }

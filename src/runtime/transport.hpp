@@ -12,7 +12,7 @@ namespace ftmul {
 ///
 /// When a Machine's transport guard is armed, every frame a rank sends is
 /// *sealed*: a five-word trailer is appended carrying a magic/word-count
-/// word, an FNV-1a content checksum, a per-(src, dst, tag) sequence number,
+/// word, a content checksum, a per-(src, dst, tag) sequence number,
 /// the packed route and a piggybacked cumulative acknowledgment. The trailer
 /// is physically appended (not prepended) so sealing is O(1) on the
 /// already-serialized payload — no memmove — and the receiver strips it with
@@ -20,7 +20,7 @@ namespace ftmul {
 ///
 /// Trailer layout, appended after the payload's `n` words:
 ///   [n+0]  kFrameMagicLive<<32 | n         (magic + payload word count)
-///   [n+1]  FNV-1a over the n payload words (byte-wise, LE word bytes)
+///   [n+1]  frame_checksum over the n payload words
 ///   [n+2]  sequence number within the (src, dst, tag) stream, from 0
 ///   [n+3]  route: src<<48 | dst<<32 | tag
 ///   [n+4]  ack: delivered<<32 | (tag'+1), or 0 when nothing to report —
@@ -51,10 +51,12 @@ int frame_ack_tag(std::uint64_t ack) noexcept;
 /// The acknowledged cumulative delivered count (0 when no ack).
 std::uint64_t frame_ack_count(std::uint64_t ack) noexcept;
 
-/// FNV-1a over the little-endian bytes of @p words — fixed here (like the
-/// FaultInjector's site hash) so checksums are stable across standard
-/// libraries and builds.
-std::uint64_t fnv1a_words(std::span<const std::uint64_t> words) noexcept;
+/// Content checksum of @p words: one mixing step per word (xor the word in,
+/// multiply by an odd constant, fold the high half down), each a bijection
+/// of the running state and of the word, so a change confined to one word
+/// always changes the checksum. Fixed here (like the FaultInjector's site
+/// hash) so checksums are stable across standard libraries and builds.
+std::uint64_t frame_checksum(std::span<const std::uint64_t> words) noexcept;
 
 /// The packed route word of the trailer.
 std::uint64_t frame_route(int src, int dst, int tag) noexcept;

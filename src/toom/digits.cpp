@@ -1,5 +1,6 @@
 #include "toom/digits.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ftmul {
@@ -29,6 +30,48 @@ BigInt recompose_digits(std::span<const BigInt> digits,
         acc += digits[i];
     }
     return acc;
+}
+
+BigInt recompose_digits_linear(std::span<const BigInt> digits,
+                               std::size_t digit_bits) {
+    std::size_t top_bits = 0;
+    for (std::size_t i = 0; i < digits.size(); ++i) {
+        assert(!digits[i].is_negative());
+        if (!digits[i].is_zero()) {
+            top_bits = std::max(top_bits,
+                                i * digit_bits + digits[i].bit_length());
+        }
+    }
+    if (top_bits == 0) return BigInt{};
+    // The sum of non-negative terms below 2^top_bits each stays below
+    // 2^(top_bits + log2(count)); one spare limb covers any count that fits
+    // in memory.
+    detail::Limbs out(top_bits / 64 + 2, 0);
+    std::uint64_t* acc = out.data();
+    for (std::size_t i = 0; i < digits.size(); ++i) {
+        const detail::Limbs& mag = digits[i].magnitude();
+        if (mag.size() == 0) continue;
+        const std::size_t offset = i * digit_bits;
+        const unsigned shift = static_cast<unsigned>(offset % 64);
+        std::uint64_t* at = acc + offset / 64;
+        std::uint64_t carry = 0;
+        std::uint64_t prev = 0;
+        for (std::size_t j = 0; j <= mag.size(); ++j) {
+            const std::uint64_t limb = j < mag.size() ? mag[j] : 0;
+            const std::uint64_t part =
+                shift == 0 ? limb : limb << shift | prev >> (64 - shift);
+            prev = limb;
+            const unsigned __int128 sum =
+                static_cast<unsigned __int128>(at[j]) + part + carry;
+            at[j] = static_cast<std::uint64_t>(sum);
+            carry = static_cast<std::uint64_t>(sum >> 64);
+        }
+        for (std::uint64_t* p = at + mag.size() + 1; carry != 0; ++p) {
+            carry = ++*p == 0 ? 1 : 0;
+        }
+    }
+    detail::normalize(out);
+    return BigInt::from_parts(1, std::move(out));
 }
 
 std::vector<BigInt> split_digits_signed(const BigInt& v, std::size_t digit_bits,

@@ -29,6 +29,14 @@ std::vector<BigInt> split_digits_abs(const BigInt& v, std::size_t digit_bits,
 /// digit_bits). Digits may be signed and wider than digit_bits.
 BigInt recompose_digits(std::span<const BigInt> digits, std::size_t digit_bits);
 
+/// recompose_digits for non-negative digits, in time linear in their total
+/// size, for assembly outside the cost model: each digit's limbs are added
+/// into one limb buffer at the digit's bit offset, carries rippling only
+/// past its top limb (the Horner loop above shifts the whole accumulator
+/// once per digit). Charges no limb ops.
+BigInt recompose_digits_linear(std::span<const BigInt> digits,
+                               std::size_t digit_bits);
+
 /// Plain schoolbook polynomial product: out[t] = sum_{i+j==t} a[i]*b[j];
 /// result length |a| + |b| - 1. The recursion base of the lazy algorithm.
 std::vector<BigInt> convolve_schoolbook(std::span<const BigInt> a,

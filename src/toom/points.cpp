@@ -7,7 +7,13 @@ namespace ftmul {
 std::string EvalPoint::to_string() const {
     if (h == 0) return "inf";
     if (h == 1) return std::to_string(x);
-    return "(" + std::to_string(x) + ":" + std::to_string(h) + ")";
+    // Appends only: GCC 12's -Wrestrict misfires on "(" + std::string&&.
+    std::string out = "(";
+    out += std::to_string(x);
+    out += ':';
+    out += std::to_string(h);
+    out += ')';
+    return out;
 }
 
 std::vector<EvalPoint> standard_points(std::size_t count) {

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "runtime/machine.hpp"
@@ -365,43 +364,44 @@ TEST(FaultInjector, RejectsMalformedConfigs) {
 
 TEST(DeadlockDiagnostic, NamesEveryBlockedRankAndLogsEvent) {
     Machine m(3);
-    m.set_recv_timeout(std::chrono::milliseconds(200));
     m.enable_event_log();
 
-    bool timed_out = false;
+    bool deadlocked = false;
+    const auto start = std::chrono::steady_clock::now();
     try {
         m.run([](Rank& r) {
             r.phase("stuck");
             // Rank 1 exits immediately; 0 and 2 wait on messages that never
             // arrive — a protocol bug the machine must diagnose, not hang on.
-            // Rank 0 enters its receive late so rank 2 deterministically
-            // times out first, while rank 0 is still parked: the diagnostic
-            // must name both.
-            if (r.id() == 0) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(50));
-                (void)r.recv(1, 7);
-            }
+            // The run fails the moment the last runnable rank parks or
+            // exits, whatever the order, with both parked ranks named.
+            if (r.id() == 0) (void)r.recv(1, 7);
             if (r.id() == 2) (void)r.recv(0, 9);
         });
-    } catch (const RecvTimeout& e) {
-        timed_out = true;
+    } catch (const DeadlockError& e) {
+        deadlocked = true;
         const std::string msg = e.what();
         EXPECT_NE(msg.find("deadlock"), std::string::npos) << msg;
         EXPECT_NE(msg.find("phase \"stuck\""), std::string::npos) << msg;
-        // The diagnostic names both parked ranks, whichever one timed out.
         EXPECT_NE(msg.find("rank 0 waiting for src=1 tag=7"),
                   std::string::npos)
             << msg;
         EXPECT_NE(msg.find("rank 2 waiting for src=0 tag=9"),
                   std::string::npos)
             << msg;
+        EXPECT_EQ(msg.find("rank 1 waiting"), std::string::npos) << msg;
     }
-    EXPECT_TRUE(timed_out) << "expected the run to fail with RecvTimeout";
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_TRUE(deadlocked) << "expected the run to fail with DeadlockError";
+    EXPECT_LT(elapsed, std::chrono::milliseconds(100));
 
     const auto deadlocks = m.event_log()->of_kind(EventKind::Deadlock);
-    ASSERT_FALSE(deadlocks.empty());
+    ASSERT_EQ(deadlocks.size(), 1u);
     const Event& e = deadlocks.front();
     EXPECT_EQ(e.phase, "stuck");
+    EXPECT_EQ(e.rank, 0);
+    EXPECT_EQ(e.peer, 1);
+    EXPECT_EQ(e.tag, 7);
     EXPECT_EQ(e.ranks, (std::vector<int>{0, 2}));
 }
 

@@ -1,15 +1,15 @@
 // Concurrency stress for the sharded mailbox + message pool, written to be
 // run under ThreadSanitizer (the CI tsan job builds and runs this binary):
-// many concurrent senders per mailbox, aborts racing blocked pops, and
-// pooled buffers recycling across threads with the poison check proving no
-// payload is touched after it is handed back.
+// many concurrent senders per mailbox, aborts racing parked pops, and
+// pooled buffers recycling across carrier threads with the poison check
+// proving no payload is touched after it is handed back. Producers and
+// consumers are the ranks of one Machine run, so a consumer parks as a
+// fiber and its producers wake it from other carriers.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "runtime/mailbox.hpp"
@@ -18,8 +18,6 @@
 
 namespace ftmul {
 namespace {
-
-using namespace std::chrono_literals;
 
 TEST(MailboxStress, ConcurrentSendersDrainInOrder) {
     // One consumer, world_size-1 producers, each producer its own source
@@ -31,9 +29,10 @@ TEST(MailboxStress, ConcurrentSendersDrainInOrder) {
     constexpr int kPerStream = 50;
     Mailbox mb(kSources + 1);
 
-    std::vector<std::thread> senders;
-    for (int src = 1; src <= kSources; ++src) {
-        senders.emplace_back([&mb, src] {
+    Machine m(kSources + 1);
+    m.run([&](Rank& r) {
+        const int src = r.id();
+        if (src != 0) {
             for (int seq = 0; seq < kPerStream; ++seq) {
                 for (int tag = 0; tag < kTags; ++tag) {
                     PayloadBuf b = MsgPool::instance().acquire(64);
@@ -44,78 +43,79 @@ TEST(MailboxStress, ConcurrentSendersDrainInOrder) {
                     mb.push(src, tag, std::move(b));
                 }
             }
-        });
-    }
-    for (int src = 1; src <= kSources; ++src) {
-        for (int tag = 0; tag < kTags; ++tag) {
-            for (int seq = 0; seq < kPerStream; ++seq) {
-                PayloadBuf got = mb.pop(src, tag, 30s);
-                ASSERT_EQ(got.size(), 8u);
-                const std::uint64_t want =
-                    static_cast<std::uint64_t>(src) << 32 |
-                    static_cast<std::uint64_t>(tag) << 16 |
-                    static_cast<std::uint64_t>(seq);
-                ASSERT_EQ(got[0], want);
+            return;
+        }
+        for (int from = 1; from <= kSources; ++from) {
+            for (int tag = 0; tag < kTags; ++tag) {
+                for (int seq = 0; seq < kPerStream; ++seq) {
+                    PayloadBuf got = mb.pop(from, tag);
+                    ASSERT_EQ(got.size(), 8u);
+                    const std::uint64_t want =
+                        static_cast<std::uint64_t>(from) << 32 |
+                        static_cast<std::uint64_t>(tag) << 16 |
+                        static_cast<std::uint64_t>(seq);
+                    ASSERT_EQ(got[0], want);
+                }
             }
         }
-    }
-    for (auto& t : senders) t.join();
+    });
     EXPECT_EQ(mb.live_slots(), 0u);
 }
 
-TEST(MailboxStress, AbortRacesBlockedPops) {
+TEST(MailboxStress, AbortRacesParkedPops) {
     // Consumers park on sources that will never deliver; abort() must wake
-    // every one of them with RunAborted, never a timeout or a hang.
+    // every one of them with RunAborted, never a hang. Rank 0 aborts only
+    // after every consumer checked in, racing their pops.
     Mailbox mb(8);
     std::atomic<int> aborted{0};
-    std::vector<std::thread> consumers;
-    for (int src = 1; src < 8; ++src) {
-        consumers.emplace_back([&, src] {
-            try {
-                mb.pop(src, 42, 30s);
-            } catch (const RunAborted&) {
-                aborted.fetch_add(1);
-            }
-        });
-    }
-    std::this_thread::sleep_for(10ms);
-    mb.abort();
-    for (auto& t : consumers) t.join();
+    Machine m(8);
+    m.run([&](Rank& r) {
+        if (r.id() == 0) {
+            // Let every other rank reach its pop first where it can.
+            for (int src = 1; src < 8; ++src) r.send(src, 1, {1});
+            for (int src = 1; src < 8; ++src) (void)r.recv(src, 2);
+            mb.abort();
+            return;
+        }
+        (void)r.recv(0, 1);
+        r.send(0, 2, {2});
+        try {
+            mb.pop(r.id(), 42);
+        } catch (const RunAborted&) {
+            aborted.fetch_add(1);
+        }
+    });
     EXPECT_EQ(aborted.load(), 7);
 }
 
 TEST(MailboxStress, PooledBuffersRecycleAcrossThreadsUnpoisoned) {
-    // Payloads are produced on sender threads, consumed (and returned to
-    // the pool) on this thread, then recycled back to senders through the
+    // Payloads are produced on sender ranks, consumed (and returned to
+    // the pool) on rank 0's carrier, then recycled back to senders through the
     // shared spill pool. The pool's always-on poison check converts any
     // write-after-return into a counted failure; this loop must finish with
     // zero.
     const std::uint64_t poison_before = MsgPool::stats().poison_failures;
     constexpr int kRounds = 400;
     Mailbox mb(3);
-    std::thread sender_a([&] {
+    Machine m(3);
+    m.run([&](Rank& r) {
+        if (r.id() != 0) {
+            const std::uint64_t mask = r.id() == 1 ? 0 : ~std::uint64_t{0};
+            for (int i = 0; i < kRounds; ++i) {
+                PayloadBuf b = MsgPool::instance().acquire(256);
+                b.storage().assign(200, static_cast<std::uint64_t>(i) ^ mask);
+                mb.push(r.id(), 0, std::move(b));
+            }
+            return;
+        }
         for (int i = 0; i < kRounds; ++i) {
-            PayloadBuf b = MsgPool::instance().acquire(256);
-            b.storage().assign(200, static_cast<std::uint64_t>(i));
-            mb.push(1, 0, std::move(b));
+            PayloadBuf a = mb.pop(1, 0);
+            ASSERT_EQ(a[0], static_cast<std::uint64_t>(i));
+            PayloadBuf b = mb.pop(2, 0);
+            ASSERT_EQ(b[0], ~static_cast<std::uint64_t>(i));
+            // Both buffers die here and go back to the pool for the senders.
         }
     });
-    std::thread sender_b([&] {
-        for (int i = 0; i < kRounds; ++i) {
-            PayloadBuf b = MsgPool::instance().acquire(256);
-            b.storage().assign(200, ~static_cast<std::uint64_t>(i));
-            mb.push(2, 0, std::move(b));
-        }
-    });
-    for (int i = 0; i < kRounds; ++i) {
-        PayloadBuf a = mb.pop(1, 0, 30s);
-        ASSERT_EQ(a[0], static_cast<std::uint64_t>(i));
-        PayloadBuf b = mb.pop(2, 0, 30s);
-        ASSERT_EQ(b[0], ~static_cast<std::uint64_t>(i));
-        // Both buffers die here and go back to the pool for the senders.
-    }
-    sender_a.join();
-    sender_b.join();
     EXPECT_EQ(MsgPool::stats().poison_failures, poison_before);
     EXPECT_EQ(mb.live_slots(), 0u);
 }

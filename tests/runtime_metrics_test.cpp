@@ -2,8 +2,8 @@
 // of sharded counters under concurrent writers, histogram `le` bucket edges,
 // label-set canonicalization, snapshot determinism, the ftmul.metrics v1
 // JSON export, Prometheus text escaping, and the inertness guarantee of a
-// disabled registry. The concurrency tests ride the runtime ThreadPool so
-// the TSan CI job exercises the wait-free shard paths.
+// disabled registry. The concurrency tests run on plain threads so the TSan
+// CI job exercises the wait-free shard paths.
 
 #include <gtest/gtest.h>
 
@@ -11,13 +11,13 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bigint/limb_ops.hpp"
 #include "bigint/random.hpp"
 #include "core/parallel.hpp"
 #include "runtime/metrics.hpp"
-#include "runtime/thread_pool.hpp"
 #include "toom/sequential.hpp"
 
 namespace ftmul {
@@ -79,13 +79,16 @@ TEST(Metrics, ConcurrentIncrementsMergeToExactTotals) {
 
     constexpr std::size_t kThreads = 8;
     constexpr std::uint64_t kPerThread = 20000;
-    ThreadPool pool(kThreads);
-    pool.run([&](std::size_t worker) {
-        for (std::uint64_t i = 0; i < kPerThread; ++i) {
-            c.inc();
-            h.observe(worker);  // workers 0..8 straddle the le=8 edge
-        }
-    });
+    std::vector<std::thread> workers;
+    for (std::size_t worker = 0; worker < kThreads; ++worker) {
+        workers.emplace_back([&, worker] {
+            for (std::uint64_t i = 0; i < kPerThread; ++i) {
+                c.inc();
+                h.observe(worker);  // workers 0..8 straddle the le=8 edge
+            }
+        });
+    }
+    for (std::thread& t : workers) t.join();
 
     EXPECT_EQ(c.value(), kThreads * kPerThread);
     EXPECT_EQ(h.count(), kThreads * kPerThread);

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "bigint/random.hpp"
@@ -141,16 +142,39 @@ TEST(Frame, WrongRouteIsMalformed) {
 }
 
 TEST(Frame, ChecksumCoversEveryPayloadWord) {
-    // FNV-1a must differ when any single word changes — a smoke test that
-    // the checksum actually reads the whole payload.
+    // The checksum must differ when any single word changes — a smoke test
+    // that the checksum actually reads the whole payload.
     std::vector<std::uint64_t> payload(64, 0);
-    const std::uint64_t base = fnv1a_words(payload);
+    const std::uint64_t base = frame_checksum(payload);
     for (std::size_t i = 0; i < payload.size(); ++i) {
         payload[i] = 1;
-        EXPECT_NE(fnv1a_words(payload), base) << "word " << i;
+        EXPECT_NE(frame_checksum(payload), base) << "word " << i;
         payload[i] = 0;
     }
-    EXPECT_EQ(fnv1a_words(payload), base);
+    EXPECT_EQ(frame_checksum(payload), base);
+}
+
+TEST(Frame, ChecksumCatchesTheSameBitFlippedInTwoWords) {
+    // A bare (h ^ w) * odd step carries a top-bit flip straight through
+    // every later multiply, so flipping bit 63 in two words cancels. The
+    // fold must keep any such pair visible, adjacent or far apart.
+    std::vector<std::uint64_t> payload(32);
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+        payload[i] = 0x0123456789abcdefull * (i + 1);
+    }
+    const std::uint64_t base = frame_checksum(payload);
+    for (const int bit : {0, 1, 31, 32, 62, 63}) {
+        const std::uint64_t flip = std::uint64_t{1} << bit;
+        for (const auto& [i, j] : {std::pair<std::size_t, std::size_t>{0, 1},
+                                   {3, 4}, {0, 31}, {5, 17}}) {
+            payload[i] ^= flip;
+            payload[j] ^= flip;
+            EXPECT_NE(frame_checksum(payload), base)
+                << "bit " << bit << " in words " << i << " and " << j;
+            payload[i] ^= flip;
+            payload[j] ^= flip;
+        }
+    }
 }
 
 TEST(TransportModel, ValidatesRates) {

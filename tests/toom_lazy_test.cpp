@@ -31,6 +31,56 @@ TEST(Digits, RecomposeHandlesWideSignedDigits) {
     EXPECT_EQ(recompose_digits(d, 4), BigInt{1332});
 }
 
+TEST(Digits, LinearRecomposeMatchesHorner) {
+    // Differential check of run_engine's product assembly: random lengths
+    // and digit widths, coefficients from zero up to 2 * digit_bits + 8
+    // bits wide (a product coefficient plus growth), so neighbours overlap
+    // by up to two digit positions and carries ripple across limbs.
+    Rng rng{2323};
+    for (int trial = 0; trial < 400; ++trial) {
+        const std::size_t len = 1 + rng.next_below(96);
+        const std::size_t digit_bits = 1 + rng.next_below(130);
+        std::vector<BigInt> d(len);
+        for (BigInt& c : d) {
+            const std::size_t bits = rng.next_below(2 * digit_bits + 9);
+            c = rng.next_below(4) == 0 ? BigInt{}
+                                       : random_below_2pow(rng, bits);
+        }
+        EXPECT_EQ(recompose_digits_linear(d, digit_bits),
+                  recompose_digits(d, digit_bits))
+            << "trial " << trial << " len " << len << " digit_bits "
+            << digit_bits;
+    }
+    // All-ones coefficients at full width: the longest carry chains.
+    for (const std::size_t digit_bits : {std::size_t{1}, std::size_t{63},
+                                         std::size_t{64}, std::size_t{65}}) {
+        std::vector<BigInt> d(17, BigInt::power_of_two(2 * digit_bits + 8) - 1);
+        EXPECT_EQ(recompose_digits_linear(d, digit_bits),
+                  recompose_digits(d, digit_bits))
+            << digit_bits;
+    }
+    // A narrow digit under a wide all-ones neighbour: its carry ripples
+    // limbs past its own top.
+    for (const std::size_t digit_bits : {std::size_t{100}, std::size_t{129}}) {
+        const std::vector<BigInt> d{
+            BigInt::power_of_two(2 * digit_bits + 8) - 1,
+            BigInt::power_of_two(7) - 1, BigInt{}, BigInt{1}};
+        EXPECT_EQ(recompose_digits_linear(d, digit_bits),
+                  recompose_digits(d, digit_bits))
+            << digit_bits;
+    }
+    EXPECT_EQ(recompose_digits_linear(std::vector<BigInt>(5), 32), BigInt{});
+}
+
+TEST(Digits, LinearRecomposeChargesNothing) {
+    Rng rng{7};
+    std::vector<BigInt> d(64);
+    for (BigInt& c : d) c = random_bits(rng, 72);
+    OpsCounter::reset();
+    (void)recompose_digits_linear(d, 32);
+    EXPECT_EQ(OpsCounter::get(), 0u);
+}
+
 TEST(Digits, ConvolveSchoolbookKnown) {
     // (1 + 2x)(3 + 4x) = 3 + 10x + 8x^2
     std::vector<BigInt> a{1, 2}, b{3, 4};

@@ -25,9 +25,10 @@
 // via NACK/retransmit — a trial whose retransmit budget runs out escalates
 // through the resilient ladder on a fresh interconnect.
 //
-// Trials execute in parallel on the runtime ThreadPool (--jobs N). Results
-// are stored per trial and aggregated serially in trial order, so the
-// report JSON is byte-identical for --jobs 1 and --jobs N.
+// Trials execute in parallel on N plain threads (--jobs N), whose Machines
+// share the runtime's carrier threads. Results are stored per trial and
+// aggregated serially in trial order, so the report JSON is byte-identical
+// for --jobs 1 and --jobs N.
 //
 // Usage:
 //   ftmul_chaos [--trials N | --max-trials N] [--time-budget-s S]
@@ -77,7 +78,6 @@
 #include "runtime/fault_injector.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/report.hpp"
-#include "runtime/thread_pool.hpp"
 #include "toom/sequential.hpp"
 
 namespace {
@@ -996,8 +996,9 @@ int main(int argc, char** argv) {
     if (opt.jobs <= 1) {
         worker();
     } else {
-        ThreadPool pool(opt.jobs);
-        pool.run([&](std::size_t) { worker(); });
+        std::vector<std::thread> jobs;
+        for (std::size_t i = 0; i < opt.jobs; ++i) jobs.emplace_back(worker);
+        for (std::thread& t : jobs) t.join();
     }
 
     heartbeat.finish();
