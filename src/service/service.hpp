@@ -93,8 +93,9 @@ struct ServiceStats {
 /// Multiply-as-a-service: many client threads submit MultiplyRequests; a
 /// bounded admission queue with typed shedding feeds executor threads that
 /// plan (cost-model-driven engine selection), batch compatible small
-/// requests, and run each plan on the shared ThreadPool/Machine runtime
-/// with per-request deadlines enforced at admission, dequeue and every
+/// requests, and run each plan on the Machine runtime, whose ranks are
+/// fibers on the process-wide carrier threads (runtime/executor.hpp), with
+/// per-request deadlines enforced at admission, dequeue and every
 /// resilient-ladder rung boundary. See docs/SERVICE.md.
 class MultiplyService {
 public:
