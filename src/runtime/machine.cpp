@@ -413,8 +413,8 @@ PayloadBuf Rank::recv_frame(int src, int tag) {
     park = {true, src, tag, &current_phase_};
     PayloadBuf payload;
     try {
-        ProfileScope blocked(machine_.metric_blocked_us_);
-        payload = machine_.mailbox(id_).pop(src, tag);
+        payload = machine_.mailbox(id_).pop(src, tag,
+                                            machine_.metric_blocked_us_);
     } catch (...) {
         park.waiting = false;
         throw;
@@ -744,9 +744,6 @@ Machine::Machine(int world_size, FaultPlan plan)
         "ftmul_recovery_words", {}, exponential_buckets(16, 4.0, 12),
         "per-rank words moved inside a recovery bracket");
     mailboxes_.reserve(static_cast<std::size_t>(world_size));
-    for (int i = 0; i < world_size; ++i) {
-        mailboxes_.push_back(std::make_unique<Mailbox>(world_size));
-    }
     parked_.resize(static_cast<std::size_t>(world_size));
     retain_.reserve(static_cast<std::size_t>(world_size));
     for (int i = 0; i < world_size; ++i) {
@@ -936,6 +933,7 @@ std::size_t Machine::live_streams() const {
 }
 
 std::size_t Machine::mailbox_live_slots(int rank) const {
+    if (mailboxes_.empty()) return 0;  // never run
     return mailboxes_[static_cast<std::size_t>(rank)]->live_slots();
 }
 
@@ -980,8 +978,12 @@ void Machine::run(const std::function<void(Rank&)>& body) {
     stats_.world = size_;
     if (tracer_) tracer_->clear();
     if (events_) events_->clear();
-    // Fresh mailboxes per run so stale messages never leak across runs.
-    for (auto& mb : mailboxes_) mb = std::make_unique<Mailbox>(size_);
+    // Fresh mailboxes per run so stale messages never leak across runs;
+    // the constructor builds none, so a Machine run once builds them once.
+    mailboxes_.clear();
+    for (int i = 0; i < size_; ++i) {
+        mailboxes_.push_back(std::make_unique<Mailbox>(size_));
+    }
     // Likewise the transport state: retention and accounting are per run.
     release_retention();
     tcounters_->reset();

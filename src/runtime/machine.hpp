@@ -210,8 +210,9 @@ public:
     /// Costs of the last run.
     const RunStats& stats() const noexcept { return stats_; }
 
-    /// Live (src, tag) queue slots in @p rank's mailbox — regression hook
-    /// for the seed's slot-leak bug (drained slots must be reclaimed).
+    /// Live (src, tag) queue slots in @p rank's mailbox after the last run
+    /// (0 before the first) — regression hook for the seed's slot-leak bug
+    /// (drained slots must be reclaimed).
     std::size_t mailbox_live_slots(int rank) const;
 
     /// Arm (or disarm) the frame-integrity transport guard for subsequent
@@ -357,7 +358,7 @@ private:
 
     int size_;
     FaultPlan plan_;
-    std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+    std::vector<std::unique_ptr<Mailbox>> mailboxes_;  ///< built by run()
     std::vector<ParkRecord> parked_;
     std::size_t carrier_offset_;  ///< where rank 0 sits among the carriers
     RunStats stats_;
@@ -380,7 +381,7 @@ private:
     Gauge metric_retained_words_peak_;  ///< high-water of the same
     Gauge metric_retained_frames_peak_;
     Gauge metric_acked_seqs_;           ///< cumulative watermark coverage
-    Histogram metric_blocked_us_;       ///< parked time per receive
+    Histogram metric_blocked_us_;       ///< time of each receive that parks
     Counter metric_runs_;
     Histogram metric_run_us_;
     Histogram metric_recovery_flops_;

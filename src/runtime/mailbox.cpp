@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -174,8 +175,9 @@ void Mailbox::abort() {
     }
 }
 
-PayloadBuf Mailbox::pop(int src, int tag) {
+PayloadBuf Mailbox::pop(int src, int tag, Histogram parked_us) {
     Shard& s = shards_[static_cast<std::size_t>(src)];
+    std::optional<ProfileScope> parked;  // outlives the lock
     std::unique_lock<std::mutex> lock(s.mu);
     for (;;) {
         if (aborted_.load(std::memory_order_acquire)) throw RunAborted{};
@@ -205,6 +207,7 @@ PayloadBuf Mailbox::pop(int src, int tag) {
         s.waiter = self;
         s.waiting_tag = tag;
         lock.unlock();
+        if (!parked) parked.emplace(parked_us);
         executor::park();
         lock.lock();
     }

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/metrics.hpp"
 #include "runtime/msg_pool.hpp"
 
 namespace ftmul {
@@ -72,8 +73,11 @@ public:
 
     /// Next message of the (src, tag) stream. On an empty queue the calling
     /// rank fiber parks until a push fills it; outside a fiber that would
-    /// block forever, so it throws std::logic_error instead.
-    PayloadBuf pop(int src, int tag);
+    /// block forever, so it throws std::logic_error instead. A pop that
+    /// parks observes its wall time, first park to return, into
+    /// @p parked_us when that histogram is live; one that finds its
+    /// message queued reads no clock.
+    PayloadBuf pop(int src, int tag, Histogram parked_us = {});
 
     /// Live (src, tag) queue slots currently held — drained slots must be
     /// reclaimed, so this stays bounded by the number of in-flight

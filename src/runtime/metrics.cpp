@@ -290,7 +290,10 @@ MetricsRegistry& MetricsRegistry::global() {
         if (const char* env = std::getenv("FTMUL_METRICS")) {
             const std::string v = env;
             if (v == "1" || v == "true" || v == "on" || v == "yes") {
-                r->set_enabled(true);
+                // Not set_enabled(): it calls global(), whose static is
+                // still being initialized here, and would never return.
+                r->impl_->enabled.store(true, std::memory_order_relaxed);
+                detail::kernel_stats::set_enabled(true);
             }
         }
         r->add_collector([r] {

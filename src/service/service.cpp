@@ -1,5 +1,6 @@
 #include "service/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -38,7 +39,11 @@ std::uint64_t us_since(ServiceClock::time_point start) {
 MultiplyService::MultiplyService(ServiceConfig config)
     : config_(std::move(config)),
       queue_(config_.queue_capacity),
-      injector_(config_.chaos.seed) {
+      injector_(config_.chaos.seed),
+      toom3_(ToomPlan::make(3)),
+      shards_(static_cast<std::size_t>(
+                  config_.executors < 0 ? 0 : config_.executors) +
+              1) {
     auto& reg = MetricsRegistry::global();
     const char* outcome_help = "service requests by final outcome";
     metric_completed_ = reg.counter("ftmul_service_requests_total",
@@ -55,25 +60,19 @@ MultiplyService::MultiplyService(ServiceConfig config)
                     {{"reason", "deadline_impossible"}}, shed_help);
     metric_shed_shutdown_ = reg.counter(
         "ftmul_service_shed_total", {{"reason", "shutting_down"}}, shed_help);
-    metric_queue_depth_ = reg.gauge("ftmul_service_queue_depth", {},
-                                    "admission queue depth");
     metric_e2e_us_ =
         reg.histogram("ftmul_service_e2e_us", {}, duration_buckets_us(),
                       "end-to-end latency, admission to resolution");
-    executors_.reserve(static_cast<std::size_t>(
-        config_.executors < 0 ? 0 : config_.executors));
-    for (int i = 0; i < config_.executors; ++i) {
-        executors_.emplace_back([this] { executor_loop(); });
+    executors_.reserve(shards_.size() - 1);
+    for (std::size_t i = 0; i + 1 < shards_.size(); ++i) {
+        executors_.emplace_back([this, i] { executor_loop(shards_[i]); });
     }
 }
 
 MultiplyService::~MultiplyService() { shutdown(config_.drain_on_shutdown); }
 
 std::future<MultiplyOutcome> MultiplyService::submit(MultiplyRequest request) {
-    {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.submitted;
-    }
+    submitted_.fetch_add(1, std::memory_order_relaxed);
     MultiplyPlan plan =
         plan_multiply(request.a.bit_length(), request.b.bit_length(),
                       request.reliability_class, config_.policy);
@@ -87,10 +86,7 @@ std::future<MultiplyOutcome> MultiplyService::submit(MultiplyRequest request) {
                 request.deadline - ServiceClock::now())
                 .count();
         if (remaining < static_cast<long long>(plan.modeled_us)) {
-            {
-                std::lock_guard<std::mutex> lock(stats_mu_);
-                ++stats_.shed_deadline_impossible;
-            }
+            shed_deadline_impossible_.fetch_add(1, std::memory_order_relaxed);
             metric_shed_deadline_.inc();
             throw ServiceRejected(
                 RejectReason::DeadlineImpossible,
@@ -104,18 +100,11 @@ std::future<MultiplyOutcome> MultiplyService::submit(MultiplyRequest request) {
     job.id = next_id_.fetch_add(1, std::memory_order_relaxed);
     job.request = std::move(request);
     job.plan = std::move(plan);
-    job.enqueued_at = ServiceClock::now();
+    if (metric_e2e_us_.live()) job.enqueued_at = ServiceClock::now();
     std::future<MultiplyOutcome> fut = job.promise.get_future();
 
+    // The queue counts admissions and both of its refusals.
     if (auto why = queue_.try_push(std::move(job))) {
-        {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            if (*why == RejectReason::QueueFull) {
-                ++stats_.shed_queue_full;
-            } else {
-                ++stats_.shed_shutting_down;
-            }
-        }
         if (*why == RejectReason::QueueFull) {
             metric_shed_queue_full_.inc();
             throw ServiceRejected(
@@ -127,23 +116,19 @@ std::future<MultiplyOutcome> MultiplyService::submit(MultiplyRequest request) {
         throw ServiceRejected(RejectReason::ShuttingDown,
                               "service no longer accepts submissions");
     }
-    {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.admitted;
-    }
-    metric_queue_depth_.set(static_cast<std::int64_t>(queue_.depth()));
     return fut;
 }
 
 void MultiplyService::shutdown(bool drain) {
     std::call_once(shutdown_once_, [&] {
+        StatsShard& own = shards_.back();
         queue_.close();
         if (!drain) {
             // Shed the backlog first so executors stop as soon as their
             // current batch finishes; anything an executor popped
             // concurrently was admitted and still runs to resolution.
             std::vector<QueuedJob> backlog = queue_.drain();
-            for (QueuedJob& job : backlog) shed_drained(job);
+            for (QueuedJob& job : backlog) shed_drained(job, own);
         }
         for (std::thread& t : executors_) t.join();
         executors_.clear();
@@ -153,43 +138,66 @@ void MultiplyService::shutdown(bool drain) {
         std::vector<QueuedJob> rest = queue_.drain();
         for (QueuedJob& job : rest) {
             if (drain) {
-                execute(job);
+                execute(job, own);
             } else {
-                shed_drained(job);
+                shed_drained(job, own);
             }
         }
     });
 }
 
 ServiceStats MultiplyService::stats() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ServiceStats out = stats_;
-    out.queue_depth_peak = queue_.peak_depth();
+    // Downstream first: an outcome in a shard was popped, and so admitted,
+    // before the queue lock below is taken.
+    ServiceStats out;
+    for (const StatsShard& shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mu);
+        const ServiceStats& s = shard.stats;
+        out.completed += s.completed;
+        out.failed += s.failed;
+        out.expired += s.expired;
+        out.drained += s.drained;
+        out.batches += s.batches;
+        out.batched_requests += s.batched_requests;
+        out.max_batch_observed =
+            std::max(out.max_batch_observed, s.max_batch_observed);
+        out.ladder_escalations += s.ladder_escalations;
+        for (const auto& [engine, n] : s.completed_by_engine) {
+            out.completed_by_engine[engine] += n;
+        }
+    }
+    const AdmissionQueue::Counts q = queue_.counts();
+    out.admitted = q.admitted;
+    out.shed_queue_full = q.rejected_full;
+    out.shed_shutting_down = q.rejected_closed;
+    out.queue_depth_peak = q.peak_depth;
+    out.submitted = submitted_.load(std::memory_order_relaxed);
+    out.shed_deadline_impossible =
+        shed_deadline_impossible_.load(std::memory_order_relaxed);
     return out;
 }
 
-void MultiplyService::executor_loop() {
+void MultiplyService::executor_loop(StatsShard& shard) {
     std::vector<QueuedJob> batch;
     while (queue_.pop_batch(batch, config_.max_batch)) {
         {
-            std::lock_guard<std::mutex> lock(stats_mu_);
-            ++stats_.batches;
-            stats_.batched_requests += batch.size();
-            if (batch.size() > stats_.max_batch_observed) {
-                stats_.max_batch_observed = batch.size();
+            std::lock_guard<std::mutex> lock(shard.mu);
+            ++shard.stats.batches;
+            shard.stats.batched_requests += batch.size();
+            if (batch.size() > shard.stats.max_batch_observed) {
+                shard.stats.max_batch_observed = batch.size();
             }
         }
-        metric_queue_depth_.set(static_cast<std::int64_t>(queue_.depth()));
-        for (QueuedJob& job : batch) execute(job);
+        for (QueuedJob& job : batch) execute(job, shard);
     }
 }
 
-void MultiplyService::execute(QueuedJob& job) {
+void MultiplyService::execute(QueuedJob& job, StatsShard& shard) {
     MultiplyOutcome out;
     if (ServiceClock::now() > job.request.deadline) {
         out.status = OutcomeStatus::Expired;
         out.error = "deadline expired at dequeue";
-        finish(job, std::move(out));
+        finish(job, std::move(out), shard);
         return;
     }
     try {
@@ -205,7 +213,7 @@ void MultiplyService::execute(QueuedJob& job) {
                          : OutcomeStatus::Failed;
         out.error = e.what();
     }
-    finish(job, std::move(out));
+    finish(job, std::move(out), shard);
 }
 
 MultiplyOutcome MultiplyService::run_plan(const QueuedJob& job) {
@@ -213,10 +221,10 @@ MultiplyOutcome MultiplyService::run_plan(const QueuedJob& job) {
     MultiplyOutcome out;
 
     if (!plan.machine) {
-        // Fetch the plan before the reset so F counts the multiply alone.
-        const ToomPlan& tplan = ToomPlan::make(3);
+        // The plan was fetched at construction, so F counts the multiply
+        // alone.
         OpsCounter::reset();
-        out.product = toom_multiply(job.request.a, job.request.b, tplan);
+        out.product = toom_multiply(job.request.a, job.request.b, toom3_);
         CostCounters c;
         c.flops = OpsCounter::get();
         OpsCounter::reset();
@@ -292,24 +300,28 @@ MultiplyOutcome MultiplyService::run_plan(const QueuedJob& job) {
     return out;
 }
 
-void MultiplyService::finish(QueuedJob& job, MultiplyOutcome outcome) {
+void MultiplyService::finish(QueuedJob& job, MultiplyOutcome outcome,
+                             StatsShard& shard) {
     outcome.request_id = job.id;
     outcome.engine = job.plan.engine;
     outcome.modeled_us = job.plan.modeled_us;
-    metric_e2e_us_.observe(us_since(job.enqueued_at));
+    if (job.enqueued_at != ServiceClock::time_point{}) {
+        metric_e2e_us_.observe(us_since(job.enqueued_at));
+    }
     {
-        std::lock_guard<std::mutex> lock(stats_mu_);
+        std::lock_guard<std::mutex> lock(shard.mu);
+        ServiceStats& s = shard.stats;
         switch (outcome.status) {
             case OutcomeStatus::Completed:
-                ++stats_.completed;
-                ++stats_.completed_by_engine[outcome.engine];
-                if (outcome.ladder_attempts > 1) ++stats_.ladder_escalations;
+                ++s.completed;
+                ++s.completed_by_engine[outcome.engine];
+                if (outcome.ladder_attempts > 1) ++s.ladder_escalations;
                 break;
             case OutcomeStatus::Expired:
-                ++stats_.expired;
+                ++s.expired;
                 break;
             case OutcomeStatus::Failed:
-                ++stats_.failed;
+                ++s.failed;
                 break;
         }
     }
@@ -321,10 +333,10 @@ void MultiplyService::finish(QueuedJob& job, MultiplyOutcome outcome) {
     job.promise.set_value(std::move(outcome));
 }
 
-void MultiplyService::shed_drained(QueuedJob& job) {
+void MultiplyService::shed_drained(QueuedJob& job, StatsShard& shard) {
     {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.drained;
+        std::lock_guard<std::mutex> lock(shard.mu);
+        ++shard.stats.drained;
     }
     metric_shed_shutdown_.inc();
     job.promise.set_exception(std::make_exception_ptr(ServiceRejected(

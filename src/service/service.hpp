@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <future>
 #include <map>
@@ -13,6 +14,7 @@
 #include "service/planner.hpp"
 #include "service/queue.hpp"
 #include "service/request.hpp"
+#include "toom/plan.hpp"
 
 namespace ftmul {
 
@@ -63,7 +65,8 @@ struct ServiceConfig {
 };
 
 /// Counter snapshot of a service's lifetime. Conservation invariants every
-/// run satisfies exactly:
+/// run satisfies exactly once the service is quiescent (no submit() or
+/// execution in flight, e.g. after shutdown()):
 ///   submitted == admitted + shed_queue_full + shed_deadline_impossible
 ///                + shed_shutting_down
 ///   admitted  == completed + failed + expired + drained
@@ -118,25 +121,41 @@ public:
 
     bool accepting() const { return !queue_.closed(); }
 
+    /// Folds the client-side counters, the queue's tallies and every
+    /// executor's shard. Taken mid-run, a snapshot never shows more
+    /// outcomes than admissions.
     ServiceStats stats() const;
 
     const ServiceConfig& config() const { return config_; }
 
 private:
-    void executor_loop();
-    void execute(QueuedJob& job);
+    /// The outcome tallies of one thread that resolves promises: each
+    /// executor owns one, and the shutdown path one more. Its mutex is
+    /// contended only by stats(). Only the fields the executors count
+    /// (outcomes, batches, escalations, completed_by_engine) are used.
+    struct alignas(64) StatsShard {
+        mutable std::mutex mu;
+        ServiceStats stats;
+    };
+
+    void executor_loop(StatsShard& shard);
+    void execute(QueuedJob& job, StatsShard& shard);
     MultiplyOutcome run_plan(const QueuedJob& job);
-    void finish(QueuedJob& job, MultiplyOutcome outcome);
-    void shed_drained(QueuedJob& job);
+    void finish(QueuedJob& job, MultiplyOutcome outcome, StatsShard& shard);
+    void shed_drained(QueuedJob& job, StatsShard& shard);
 
     ServiceConfig config_;
     AdmissionQueue queue_;
     FaultInjector injector_;
-    std::vector<std::thread> executors_;
+    const ToomPlan& toom3_;  ///< the sequential plans' Toom-3 plan
     std::atomic<std::uint64_t> next_id_{0};
 
-    mutable std::mutex stats_mu_;
-    ServiceStats stats_;
+    // Counted on the client thread, before the queue sees the request.
+    std::atomic<std::uint64_t> submitted_{0};
+    std::atomic<std::uint64_t> shed_deadline_impossible_{0};
+
+    std::vector<StatsShard> shards_;  ///< one per executor, then shutdown's
+    std::vector<std::thread> executors_;
     std::once_flag shutdown_once_;
 
     // Process-wide instruments (no-ops while the registry is disabled).
@@ -146,7 +165,6 @@ private:
     Counter metric_shed_queue_full_;
     Counter metric_shed_deadline_;
     Counter metric_shed_shutdown_;
-    Gauge metric_queue_depth_;
     Histogram metric_e2e_us_;
 };
 

@@ -217,7 +217,9 @@ TEST(DivmodDifferential, ArenaPathMatchesReferenceAndCharges) {
         detail::Limbs check = detail::mul(q1, b);
         detail::add_into(check, r1);
         ASSERT_EQ(check, a) << iter;
-        if (!b.empty()) ASSERT_LT(detail::cmp(r1, b), 0) << iter;
+        if (!b.empty()) {
+            ASSERT_LT(detail::cmp(r1, b), 0) << iter;
+        }
     }
 }
 

@@ -10,6 +10,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <tuple>
 
 #include "../bench/common.hpp"
@@ -80,7 +81,9 @@ TEST(EventLog, ConcurrentRanksGetGapFreeSeqAndPerRankProgramOrder) {
     EventLog& log = m.enable_event_log();
     m.run([&](Rank& r) {
         for (int i = 0; i < 25; ++i) {
-            r.phase("p" + std::to_string(i));
+            std::string phase = "p";  // appends: GCC 12 -Wrestrict
+            phase += std::to_string(i);
+            r.phase(phase);
             r.add_latency(1);
             const int peer = (r.id() + 1) % kWorld;
             const int prev = (r.id() + kWorld - 1) % kWorld;

@@ -127,6 +127,60 @@ TEST(ServiceStress, ManyClientsOneServiceConservesEveryRequest) {
                                   stats.expired + stats.drained);
 }
 
+TEST(ServiceStress, BurstsAndTricklesLoseNoWake) {
+    // A push signals only an idle executor with no wake pending, and a pop
+    // that leaves jobs behind hands the wake on. Bursts leave jobs behind
+    // while executors sleep; single trickled requests each need a fresh
+    // wake. Every future must be ready within a bound, so a lost wake
+    // fails the test instead of hanging it.
+    ServiceConfig cfg;
+    cfg.executors = 3;
+    cfg.max_batch = 4;
+    MultiplyService service(cfg);
+
+    Rng rng{0x3a7e};
+    std::uint64_t submitted = 0;
+    auto request = [&](std::size_t i) {
+        // Every fifth request plans on the machine (not batchable), the
+        // rest sequential (batchable).
+        const bool machine = i % 5 == 0;
+        MultiplyRequest req;
+        req.a = random_bits(rng, machine ? 5000 : 384);
+        req.b = random_bits(rng, machine ? 5000 : 384);
+        return req;
+    };
+    auto settle = [&](MultiplyRequest req) {
+        const BigInt expect = toom_multiply(req.a, req.b, ToomPlan::make(3));
+        auto fut = service.submit(std::move(req));
+        ++submitted;
+        return std::make_pair(std::move(fut), expect);
+    };
+    const auto bound = std::chrono::seconds(60);
+    for (int round = 0; round < 6; ++round) {
+        std::vector<std::pair<std::future<MultiplyOutcome>, BigInt>> burst;
+        for (std::size_t i = 0; i < 12; ++i) burst.push_back(settle(request(i)));
+        for (auto& [fut, expect] : burst) {
+            ASSERT_EQ(fut.wait_for(bound), std::future_status::ready)
+                << "burst of round " << round;
+            EXPECT_EQ(fut.get().product, expect);
+        }
+        for (std::size_t i = 0; i < 5; ++i) {
+            // Let the executors go idle before each trickled request.
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            auto [fut, expect] = settle(request(i + static_cast<std::size_t>(round)));
+            ASSERT_EQ(fut.wait_for(bound), std::future_status::ready)
+                << "trickle " << i << " of round " << round;
+            EXPECT_EQ(fut.get().product, expect);
+        }
+    }
+    service.shutdown(/*drain=*/true);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.submitted, submitted);
+    EXPECT_EQ(stats.completed, submitted);
+    EXPECT_GT(stats.completed_by_engine.at("sequential"), 0u);
+    EXPECT_GT(stats.completed_by_engine.at("parallel"), 0u);
+}
+
 TEST(ServiceStress, ConcurrentShutdownsAreIdempotent) {
     ServiceConfig cfg;
     cfg.executors = 2;
