@@ -69,8 +69,7 @@ BigInt BigInt::abs() const {
 
 BigInt BigInt::operator-() const {
     BigInt out = *this;
-    out.sign_ = -out.sign_;
-    return out;
+    return out.negate();
 }
 
 BigInt operator+(const BigInt& a, const BigInt& b) {
@@ -149,8 +148,14 @@ BigInt& BigInt::operator>>=(std::size_t b) {
 }
 
 BigInt operator*(const BigInt& a, const BigInt& b) {
-    if (a.sign_ == 0 || b.sign_ == 0) return BigInt{};
-    return BigInt::from_parts(a.sign_ * b.sign_, detail::mul(a.mag_, b.mag_));
+    BigInt out;
+    mul_into(out, a, b);
+    return out;
+}
+
+void mul_into(BigInt& out, const BigInt& a, const BigInt& b) {
+    detail::mul_into(out.mag_, a.mag_, b.mag_);
+    out.sign_ = out.mag_.empty() ? 0 : a.sign_ * b.sign_;
 }
 
 BigInt BigInt::operator<<(std::size_t bits) const {
@@ -206,9 +211,7 @@ BigInt& BigInt::divexact_inplace(const BigInt& d) {
     if (d.sign_ == 0) throw std::domain_error("BigInt division by zero");
     if (sign_ == 0) return *this;
     if (d.mag_.size() == 1) {
-        const std::uint64_t rem = detail::divmod_small(mag_, d.mag_[0]);
-        assert(rem == 0 && "divexact: division was not exact");
-        (void)rem;
+        detail::divexact_small(mag_, d.mag_[0]);
         sign_ *= d.sign_;
         return *this;
     }
@@ -238,35 +241,48 @@ BigInt BigInt::pow(std::uint64_t e) const {
 }
 
 BigInt BigInt::extract_bits(std::size_t lo, std::size_t len) const {
-    if (len == 0 || sign_ == 0) return {};
+    BigInt out;
+    out.assign_bits(*this, lo, len);
+    return out;
+}
+
+BigInt& BigInt::assign_bits(const BigInt& src, std::size_t lo,
+                            std::size_t len) {
+    assert(&src != this);
+    sign_ = 0;
+    mag_.clear();
+    const detail::Limbs& in = src.mag_;
+    if (len == 0 || src.sign_ == 0) return *this;
     const std::size_t limb_shift = lo / 64;
-    if (limb_shift >= mag_.size()) return {};
+    if (limb_shift >= in.size()) return *this;
     // Copy only the limbs of the window instead of shifting the whole tail
     // down (the old `shr(mag_, lo)` touched O(bit_length - lo) limbs per
     // digit, making digit splitting quadratic). The charge stays what the
-    // full-tail shift cost: the normalized size of mag_ >> lo.
-    const std::size_t bl = detail::bit_length(mag_);
+    // full-tail shift cost: the normalized size of |src| >> lo.
+    const std::size_t bl = detail::bit_length(in);
     const std::size_t shr_size = bl > lo ? (bl - lo + 63) / 64 : 0;
     OpsCounter::add(shr_size);
-    if (lo >= bl) return {};
+    if (lo >= bl) return *this;
     const std::size_t keep_limbs = (len + 63) / 64;
     const std::size_t out_n = std::min(keep_limbs, shr_size);
-    detail::Limbs out(out_n);
+    mag_.assign(out_n, 0);
     const unsigned s = static_cast<unsigned>(lo % 64);
     if (s == 0) {
-        for (std::size_t i = 0; i < out_n; ++i) out[i] = mag_[limb_shift + i];
+        for (std::size_t i = 0; i < out_n; ++i) mag_[i] = in[limb_shift + i];
     } else {
         for (std::size_t i = 0; i < out_n; ++i) {
             const std::uint64_t hi =
-                (limb_shift + i + 1 < mag_.size()) ? mag_[limb_shift + i + 1] : 0;
-            out[i] = (mag_[limb_shift + i] >> s) | (hi << (64 - s));
+                (limb_shift + i + 1 < in.size()) ? in[limb_shift + i + 1] : 0;
+            mag_[i] = (in[limb_shift + i] >> s) | (hi << (64 - s));
         }
     }
     const unsigned top_bits = static_cast<unsigned>(len % 64);
     if (top_bits != 0 && out_n == keep_limbs) {
-        out.back() &= (~std::uint64_t{0}) >> (64 - top_bits);
+        mag_.back() &= (~std::uint64_t{0}) >> (64 - top_bits);
     }
-    return from_parts(1, std::move(out));
+    detail::normalize(mag_);
+    sign_ = mag_.empty() ? 0 : 1;
+    return *this;
 }
 
 void add_scaled(BigInt& acc, const BigInt& x, std::int64_t c) {
@@ -284,7 +300,8 @@ void add_scaled(BigInt& acc, const BigInt& x, std::int64_t c) {
         c > 0 ? static_cast<std::uint64_t>(c)
               : ~static_cast<std::uint64_t>(c) + 1;  // |c|, INT64_MIN-safe
     if (acc.sign_ == 0) {
-        acc = BigInt::from_parts(term_sign, detail::mul_small(x.mag_, mag));
+        detail::mul_small_into(acc.mag_, x.mag_, mag);
+        acc.sign_ = term_sign;
         return;
     }
     if (acc.sign_ == term_sign) {

@@ -65,6 +65,15 @@ public:
 
     BigInt abs() const;
     BigInt operator-() const;
+    /// Flip the sign in place (no copy of the magnitude).
+    BigInt& negate() noexcept {
+        sign_ = -sign_;
+        return *this;
+    }
+
+    /// Make room for values of up to @p limbs limbs, so the arithmetic
+    /// that follows grows the value in place. Keeps the value.
+    void reserve(std::size_t limbs) { mag_.reserve(limbs); }
 
     friend BigInt operator+(const BigInt& a, const BigInt& b);
     friend BigInt operator-(const BigInt& a, const BigInt& b);
@@ -106,8 +115,9 @@ public:
 
     /// In-place exact division. For a single-limb divisor (the interpolation
     /// denominators) this divides the limb buffer in place with no
-    /// allocation; otherwise it falls back to divexact(). Same contract and
-    /// OpsCounter charge as divexact().
+    /// allocation and no hardware divide (detail::divexact_small); otherwise
+    /// it falls back to divexact(). Same contract and OpsCounter charge as
+    /// divexact().
     BigInt& divexact_inplace(const BigInt& d);
 
     /// Non-negative greatest common divisor; gcd(0, 0) == 0.
@@ -118,12 +128,19 @@ public:
 
     /// Extract magnitude bits [lo, lo + len) as a non-negative BigInt; the
     /// sign is ignored (the result is a slice of |*this|). This is the
-    /// digit-splitting primitive for Toom-Cook (base 2^len digits).
+    /// digit-splitting primitive for Toom-Cook (base 2^len digits). A
+    /// wrapper over assign_bits.
     BigInt extract_bits(std::size_t lo, std::size_t len) const;
+
+    /// *this = src.extract_bits(lo, len), written into this value's limb
+    /// storage, which is reused when it is large enough. Same charge as
+    /// extract_bits. Requires &src != this.
+    BigInt& assign_bits(const BigInt& src, std::size_t lo, std::size_t len);
 
 private:
     friend void add_scaled(BigInt& acc, const BigInt& x, std::int64_t c);
     friend void add_mul(BigInt& acc, const BigInt& x, const BigInt& y);
+    friend void mul_into(BigInt& out, const BigInt& a, const BigInt& b);
 
     /// Shared body of += / -=: *this += (os-signed o). @p os is o's sign,
     /// possibly flipped by the caller for subtraction.
@@ -134,15 +151,20 @@ private:
 };
 
 /// acc += x * c for a small signed multiplier; the inner kernel of the
-/// evaluation/interpolation linear maps. When the added term has the same
-/// sign as the accumulator the operation is a fused in-place limb addmul
-/// (no temporaries).
+/// evaluation/interpolation linear maps. When the accumulator is zero, x * c
+/// is written into its storage; when the added term has its sign, the
+/// operation is a fused in-place limb addmul. Neither makes a temporary.
 void add_scaled(BigInt& acc, const BigInt& x, std::int64_t c);
+
+/// out = a * b, written into out's limb storage, which is reused when it is
+/// large enough; out must not alias a or b. Charges what `a * b` charges
+/// (operator* is a wrapper over it).
+void mul_into(BigInt& out, const BigInt& a, const BigInt& b);
 
 /// acc += x * y without materializing the product on the heap: the limbs of
 /// x*y live in the thread-local LimbArena and are folded straight into acc.
-/// The inner kernel of row_dot/accumulate_column and of schoolbook
-/// convolution. OpsCounter charges match `acc += x * y` exactly.
+/// The inner kernel of the interpolation rows and of schoolbook convolution.
+/// OpsCounter charges match `acc += x * y` exactly.
 void add_mul(BigInt& acc, const BigInt& x, const BigInt& y);
 
 /// Decimal stream output.

@@ -485,27 +485,46 @@ void mul_to(u64* out, const u64* a, std::size_t an, const u64* b,
 }
 
 Limbs mul(const Limbs& a, const Limbs& b) {
-    if (a.empty() || b.empty()) return {};
-    Limbs out(a.size() + b.size());
-    mul_to(out.data(), a.data(), a.size(), b.data(), b.size());
-    normalize(out);
+    Limbs out;
+    mul_into(out, a, b);
     return out;
 }
 
-void mul_into(const Limbs& a, const Limbs& b, Limbs& out) {
+void mul_into(Limbs& out, const Limbs& a, const Limbs& b) {
     assert(&out != &a && &out != &b);
     if (a.empty() || b.empty()) {
         out.clear();
         return;
     }
-    out.resize(a.size() + b.size());
+    const std::size_t pn = a.size() + b.size();
+    if (pn <= Limbs::kInline + 1) {
+        // A 2+2- or 1+3-limb product may normalize to kInline limbs; sizing
+        // out for pn first would spill such a value to the heap.
+        u64 buf[Limbs::kInline + 1];
+        mul_to(buf, a.data(), a.size(), b.data(), b.size());
+        std::size_t n = pn;
+        while (n > 0 && buf[n - 1] == 0) --n;
+        out.assign(buf, buf + n);
+        return;
+    }
+    out.assign(pn, 0);
     mul_to(out.data(), a.data(), a.size(), b.data(), b.size());
     normalize(out);
 }
 
 Limbs mul_small(const Limbs& a, u64 m) {
-    if (a.empty() || m == 0) return {};
-    Limbs out(a.size());
+    Limbs out;
+    mul_small_into(out, a, m);
+    return out;
+}
+
+void mul_small_into(Limbs& out, const Limbs& a, u64 m) {
+    assert(&out != &a);
+    if (a.empty() || m == 0) {
+        out.clear();
+        return;
+    }
+    out.assign(a.size(), 0);
     u64 carry = 0;
     for (std::size_t i = 0; i < a.size(); ++i) {
         const u128 t = static_cast<u128>(a[i]) * m + carry;
@@ -514,7 +533,6 @@ Limbs mul_small(const Limbs& a, u64 m) {
     }
     if (carry != 0) out.push_back(carry);
     OpsCounter::add(a.size());
-    return out;
 }
 
 void addmul_small(Limbs& acc, const Limbs& x, u64 m) {
@@ -693,6 +711,34 @@ std::uint64_t divmod_small(Limbs& a, u64 d) {
     normalize(a);
     OpsCounter::add(a.size() + 1);
     return rem;
+}
+
+void divexact_small(Limbs& a, u64 d) {
+    assert(d != 0);
+    const auto shift = static_cast<unsigned>(std::countr_zero(d));
+    const u64 odd = d >> shift;
+    const u64 inv = inverse_odd(odd);
+    const std::size_t n = a.size();
+    assert(n == 0 || (a[0] & ((u64{1} << shift) - 1)) == 0);
+    // One pass: limb i of a >> shift is read before limb i is overwritten,
+    // and q_i = (u_i - carry) * inv makes q_i * odd agree with u_i - carry
+    // mod 2^64; the high half of q_i * odd carries into the next limb, and
+    // the final carry is zero exactly when odd divides the value.
+    u64 carry = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        u64 u = a[i];
+        if (shift != 0) {
+            const u64 hi = i + 1 < n ? a[i + 1] : 0;
+            u = (u >> shift) | (hi << (64 - shift));
+        }
+        const u64 borrow = u < carry ? 1 : 0;
+        const u64 q = (u - carry) * inv;
+        a[i] = q;
+        carry = static_cast<u64>((static_cast<u128>(q) * odd) >> 64) + borrow;
+    }
+    assert(carry == 0 && "divexact: division was not exact");
+    normalize(a);
+    OpsCounter::add(a.size() + 1);
 }
 
 void divmod(const Limbs& a, const Limbs& b, Limbs& q, Limbs& r) {

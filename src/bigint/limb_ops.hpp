@@ -193,10 +193,10 @@ Limbs sub(const Limbs& a, const Limbs& b);
 
 /// Schoolbook product, Theta(|a|*|b|) limb multiplications. The inner loop
 /// is cache-blocked and processes four multiplier limbs per pass (see
-/// docs/PERFORMANCE.md).
+/// docs/PERFORMANCE.md). A wrapper over mul_into.
 Limbs mul(const Limbs& a, const Limbs& b);
 
-/// a * m for a single-limb multiplier.
+/// a * m for a single-limb multiplier. A wrapper over mul_small_into.
 Limbs mul_small(const Limbs& a, std::uint64_t m);
 
 /// acc += x * m in place (single-limb multiplier) — the fused kernel behind
@@ -213,6 +213,21 @@ Limbs shr(const Limbs& a, std::size_t bits);
 /// In-place divide by a single limb d != 0; a becomes the quotient and the
 /// remainder is returned.
 std::uint64_t divmod_small(Limbs& a, std::uint64_t d);
+
+/// odd^-1 mod 2^64 for an odd @p odd: the multiplier of Hensel (exact)
+/// division. odd * odd == 1 mod 8, and each Newton step doubles the number
+/// of correct low bits: 3, 6, 12, 24, 48, 96.
+constexpr std::uint64_t inverse_odd(std::uint64_t odd) noexcept {
+    std::uint64_t inv = odd;
+    for (int step = 0; step < 5; ++step) inv *= 2 - odd * inv;
+    return inv;
+}
+
+/// In-place exact division by a single limb d != 0, which must divide a
+/// (asserted): d's power of two is shifted out and the odd part divided by
+/// multiplying each limb by inverse_odd, with no hardware divide. Charges
+/// what divmod_small charges, |a / d| + 1.
+void divexact_small(Limbs& a, std::uint64_t d);
 
 /// Knuth Algorithm D long division: computes q, r with a = q*b + r and
 /// 0 <= r < b. Requires b nonzero.
@@ -254,8 +269,14 @@ void rsub_into(Limbs& acc, const std::uint64_t* b, std::size_t bn);
 void mul_to(std::uint64_t* out, const std::uint64_t* a, std::size_t an,
             const std::uint64_t* b, std::size_t bn);
 
-/// out = a * b through mul_to; out must not alias a or b.
-void mul_into(const Limbs& a, const Limbs& b, Limbs& out);
+/// out = a * b through mul_to, in out's storage when it fits; out must not
+/// alias a or b. A product of kInline + 1 limbs is formed on the stack, so
+/// one that normalizes to kInline limbs stays inline.
+void mul_into(Limbs& out, const Limbs& a, const Limbs& b);
+
+/// out = a * m in out's storage when it fits; out must not alias a.
+/// Charges |a| like mul_small.
+void mul_small_into(Limbs& out, const Limbs& a, std::uint64_t m);
 
 /// a <<= bits in place.
 void shl_into(Limbs& a, std::size_t bits);

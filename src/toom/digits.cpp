@@ -23,13 +23,31 @@ std::vector<BigInt> split_digits_abs(const BigInt& v, std::size_t digit_bits,
 
 BigInt recompose_digits(std::span<const BigInt> digits,
                         std::size_t digit_bits) {
-    BigInt acc;
+    BigInt out;
+    recompose_digits_into(out, digits, digit_bits);
+    return out;
+}
+
+void recompose_digits_into(BigInt& out, std::span<const BigInt> digits,
+                           std::size_t digit_bits) {
+    std::size_t top_bits = 0;
+    for (std::size_t i = 0; i < digits.size(); ++i) {
+        assert(&digits[i] != &out);
+        if (!digits[i].is_zero()) {
+            top_bits = std::max(top_bits,
+                                i * digit_bits + digits[i].bit_length());
+        }
+    }
+    out = BigInt{};  // keeps out's limb storage
+    // Every partial sum times its power of B is a sum of at most
+    // digits.size() terms below 2^top_bits, so one spare limb covers any
+    // count that fits in memory.
+    out.reserve(top_bits / 64 + 2);
     // Accumulate from the top so each shift-add touches a bounded prefix.
     for (std::size_t i = digits.size(); i-- > 0;) {
-        acc <<= digit_bits;
-        acc += digits[i];
+        out <<= digit_bits;
+        out += digits[i];
     }
-    return acc;
 }
 
 BigInt recompose_digits_linear(std::span<const BigInt> digits,

@@ -26,8 +26,16 @@ std::vector<BigInt> split_digits_abs(const BigInt& v, std::size_t digit_bits,
                                      std::size_t count);
 
 /// Evaluate a digit polynomial at B = 2^digit_bits: sum_i digits[i] << (i *
-/// digit_bits). Digits may be signed and wider than digit_bits.
+/// digit_bits). Digits may be signed and wider than digit_bits. A wrapper
+/// over recompose_digits_into.
 BigInt recompose_digits(std::span<const BigInt> digits, std::size_t digit_bits);
+
+/// recompose_digits into @p out's limb storage. The accumulator is sized
+/// once, from the digits' top bits, before the Horner loop, so it never
+/// regrows, and a warm @p out allocates nothing. @p out must not be one of
+/// the digits.
+void recompose_digits_into(BigInt& out, std::span<const BigInt> digits,
+                           std::size_t digit_bits);
 
 /// recompose_digits for non-negative digits, in time linear in their total
 /// size, for assembly outside the cost model: each digit's limbs are added

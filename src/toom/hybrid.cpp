@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 
 #include "toom/digits.hpp"
 
@@ -38,14 +37,13 @@ BigInt hybrid_rec(const BigInt& a, const BigInt& b,
     const std::vector<BigInt> da = split_digits_abs(a, digit_bits, k);
     const std::vector<BigInt> db = split_digits_abs(b, digit_bits, k);
 
-    std::vector<std::size_t> rows(plan->num_base_points());
-    std::iota(rows.begin(), rows.end(), std::size_t{0});
-    std::vector<BigInt> ea(rows.size()), eb(rows.size());
-    plan->evaluate_blocks(da, ea, 1, rows);
-    plan->evaluate_blocks(db, eb, 1, rows);
+    const std::size_t m = plan->num_base_points();
+    std::vector<BigInt> ea(m), eb(m);
+    plan->evaluate_blocks(da, ea, 1);
+    plan->evaluate_blocks(db, eb, 1);
 
-    std::vector<BigInt> products(rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::vector<BigInt> products(m);
+    for (std::size_t i = 0; i < m; ++i) {
         products[i] = hybrid_rec(ea[i], eb[i], schedule);
     }
     const std::vector<BigInt> coeffs = plan->interpolation().apply(products);

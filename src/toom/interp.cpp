@@ -40,32 +40,35 @@ InterpOperator InterpOperator::from_rational(const Matrix<BigRational>& m) {
     return op;
 }
 
-BigInt InterpOperator::row_dot(std::size_t i, std::span<const BigInt> in,
-                               std::size_t block_len, std::size_t t) const {
-    BigInt acc;
+void InterpOperator::row_into(std::size_t i, std::span<const BigInt> in,
+                              std::size_t block_len, std::size_t t,
+                              BigInt& out) const {
+    out = BigInt{};  // keeps out's limb storage
     if (small_ok_) {
         for (std::size_t j = 0; j < cols(); ++j) {
-            add_scaled(acc, in[j * block_len + t], small_num_(i, j));
+            add_scaled(out, in[j * block_len + t], small_num_(i, j));
         }
     } else {
         for (std::size_t j = 0; j < cols(); ++j) {
             const BigInt& c = num_(i, j);
             if (c.is_zero()) continue;
-            add_mul(acc, c, in[j * block_len + t]);
+            add_mul(out, c, in[j * block_len + t]);
         }
     }
-    return acc;
+    if (den_[i] != BigInt{1}) out.divexact_inplace(den_[i]);
 }
 
 std::vector<BigInt> InterpOperator::apply(std::span<const BigInt> in) const {
-    assert(in.size() == cols());
     std::vector<BigInt> out(rows());
-    for (std::size_t i = 0; i < rows(); ++i) {
-        BigInt acc = row_dot(i, in, 1, 0);
-        if (den_[i] != BigInt{1}) acc.divexact_inplace(den_[i]);
-        out[i] = std::move(acc);
-    }
+    apply_into(in, out);
     return out;
+}
+
+void InterpOperator::apply_into(std::span<const BigInt> in,
+                                std::span<BigInt> out) const {
+    assert(in.size() == cols());
+    assert(out.size() == rows());
+    for (std::size_t i = 0; i < rows(); ++i) row_into(i, in, 1, 0, out[i]);
 }
 
 void InterpOperator::apply_blocks(std::span<const BigInt> in,
@@ -75,9 +78,7 @@ void InterpOperator::apply_blocks(std::span<const BigInt> in,
     assert(out.size() == rows() * block_len);
     for (std::size_t i = 0; i < rows(); ++i) {
         for (std::size_t t = 0; t < block_len; ++t) {
-            BigInt acc = row_dot(i, in, block_len, t);
-            if (den_[i] != BigInt{1}) acc.divexact_inplace(den_[i]);
-            out[i * block_len + t] = std::move(acc);
+            row_into(i, in, block_len, t, out[i * block_len + t]);
         }
     }
 }

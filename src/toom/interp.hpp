@@ -31,7 +31,13 @@ public:
     const std::vector<BigInt>& denominators() const { return den_; }
 
     /// out[i] = (sum_j num(i,j) * in[j]) / den[i]; requires in.size() == cols.
+    /// A wrapper over apply_into.
     std::vector<BigInt> apply(std::span<const BigInt> in) const;
+
+    /// apply() into caller storage: each out[i] is overwritten in its own
+    /// limb storage, so warm outputs allocate nothing. Requires
+    /// out.size() == rows() and out not overlapping in.
+    void apply_into(std::span<const BigInt> in, std::span<BigInt> out) const;
 
     /// Blockwise application: @p in is cols() consecutive blocks of
     /// @p block_len values; @p out is rows() blocks. Each scalar position is
@@ -52,8 +58,9 @@ public:
     bool small_coefficients() const { return small_ok_; }
 
 private:
-    BigInt row_dot(std::size_t i, std::span<const BigInt> in,
-                   std::size_t block_len, std::size_t t) const;
+    /// out = row i applied to scalar position t of the blocks of @p in.
+    void row_into(std::size_t i, std::span<const BigInt> in,
+                  std::size_t block_len, std::size_t t, BigInt& out) const;
 
     Matrix<BigInt> num_;
     std::vector<BigInt> den_;  // all positive

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 
 #include "bigint/limb_arena.hpp"
@@ -12,16 +11,6 @@
 #include "toom/digits.hpp"
 
 namespace ftmul {
-
-namespace {
-
-std::vector<std::size_t> base_row_indices(const ToomPlan& plan) {
-    std::vector<std::size_t> rows(plan.num_base_points());
-    std::iota(rows.begin(), rows.end(), std::size_t{0});
-    return rows;
-}
-
-}  // namespace
 
 std::size_t lazy_result_len(int k, std::size_t len, std::size_t base_len) {
     const auto uk = static_cast<std::size_t>(k);
@@ -44,11 +33,10 @@ std::vector<BigInt> lazy_convolve(const ToomPlan& plan,
 
     const std::size_t m = len / k;
     const std::size_t npts = plan.num_base_points();
-    const auto rows = base_row_indices(plan);
 
     std::vector<BigInt> ea(npts * m), eb(npts * m);
-    plan.evaluate_blocks(a, ea, m, rows);
-    plan.evaluate_blocks(b, eb, m, rows);
+    plan.evaluate_blocks(a, ea, m);  // the 2k-1 base points
+    plan.evaluate_blocks(b, eb, m);
 
     std::vector<BigInt> children;
     std::size_t child_len = 0;
@@ -124,12 +112,10 @@ std::vector<BigInt> convolve_rec(const ToomPlan& plan,
 
     const std::size_t m = len / k;
     const std::size_t npts = plan.num_base_points();
-    std::vector<std::size_t> rows(npts);
-    std::iota(rows.begin(), rows.end(), std::size_t{0});
 
     std::vector<BigInt> ea(npts * m), eb(npts * m);
-    plan.evaluate_blocks(a, ea, m, rows);
-    plan.evaluate_blocks(b, eb, m, rows);
+    plan.evaluate_blocks(a, ea, m);  // the 2k-1 base points
+    plan.evaluate_blocks(b, eb, m);
 
     const std::size_t rc = 2 * m;  // padded child result length
     std::vector<BigInt> children(npts * rc);
@@ -484,11 +470,9 @@ bool read_plan(const ToomPlan& plan, std::size_t base_len,
         const u64 d = interp.denominators()[i].magnitude()[0];
         const auto shift = static_cast<unsigned>(std::countr_zero(d));
         const u64 odd = d >> shift;
-        u64 inv = odd;  // odd * odd == 1 mod 8; each Newton step doubles it
-        for (int step = 0; step < 5; ++step) inv *= 2 - odd * inv;
         den[4 * i] = d;
         den[4 * i + 1] = odd;
-        den[4 * i + 2] = inv;
+        den[4 * i + 2] = detail::inverse_odd(odd);
         den[4 * i + 3] = shift;
     }
     fp.eval = eval;

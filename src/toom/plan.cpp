@@ -3,7 +3,6 @@
 #include <cassert>
 #include <map>
 #include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -114,23 +113,19 @@ void ToomPlan::evaluate_blocks(std::span<const BigInt> in,
                                std::span<const std::size_t> rows) const {
     const std::size_t k = static_cast<std::size_t>(k_);
     assert(in.size() == k * block_len);
+    const std::size_t n = rows.empty() && block_len != 0
+                              ? out.size() / block_len
+                              : rows.size();
+    assert(out.size() == n * block_len && n <= num_points());
 
-    std::vector<std::size_t> all_rows;
-    if (rows.empty()) {
-        all_rows.resize(num_points());
-        std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
-        rows = all_rows;
-    }
-    assert(out.size() == rows.size() * block_len);
-
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        const std::size_t row = rows[r];
+    for (std::size_t r = 0; r < n; ++r) {
+        const std::size_t row = rows.empty() ? r : rows[r];
         for (std::size_t t = 0; t < block_len; ++t) {
-            BigInt acc;
+            BigInt& acc = out[r * block_len + t];
+            acc = BigInt{};  // keeps acc's limb storage
             for (std::size_t j = 0; j < k; ++j) {
                 add_scaled(acc, in[j * block_len + t], eval_(row, j));
             }
-            out[r * block_len + t] = std::move(acc);
         }
     }
 }

@@ -57,8 +57,10 @@ public:
     InterpOperator interpolation_for(const std::vector<std::size_t>& point_idx) const;
 
     /// Evaluate k digit blocks of length @p block_len at the points whose
-    /// row indices are @p rows (all points when empty). @p out must hold
-    /// rows.size() * block_len values.
+    /// row indices are @p rows. When @p rows is empty, evaluate at the first
+    /// out.size() / block_len points: the 2k-1 base points when @p out
+    /// holds that many blocks, every point when it holds num_points(). Each
+    /// output value is overwritten in its own limb storage.
     void evaluate_blocks(std::span<const BigInt> in, std::span<BigInt> out,
                          std::size_t block_len,
                          std::span<const std::size_t> rows = {}) const;

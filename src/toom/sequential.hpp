@@ -26,6 +26,12 @@ struct ToomOptions {
 /// digits with a shared base, evaluate at 2k-1 points, recurse on the
 /// pointwise products, interpolate exactly and resolve the carry. Handles
 /// signed inputs; exact for all inputs.
+///
+/// The digits, point values, products and coefficients of each recursion
+/// level live in the calling thread's level workspaces, which later calls
+/// reuse, so a warm call allocates only its product. custom_interpolation
+/// may itself call toom_multiply: the nested call takes the levels above
+/// the ones in use.
 BigInt toom_multiply(const BigInt& a, const BigInt& b, const ToomPlan& plan,
                      const ToomOptions& opts = {});
 

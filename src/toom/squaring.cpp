@@ -1,7 +1,6 @@
 #include "toom/squaring.hpp"
 
 #include <cassert>
-#include <numeric>
 
 #include "toom/digits.hpp"
 
@@ -10,8 +9,7 @@ namespace ftmul {
 namespace {
 
 BigInt square_rec(const BigInt& a, const ToomPlan& plan,
-                  const SquareOptions& opts,
-                  std::span<const std::size_t> base_rows) {
+                  const SquareOptions& opts) {
     if (a.is_zero()) return {};
     const std::size_t n = a.bit_length();
     if (n <= opts.threshold_bits) return a * a;
@@ -20,13 +18,13 @@ BigInt square_rec(const BigInt& a, const ToomPlan& plan,
     const std::size_t digit_bits = (n + k - 1) / k;
     const std::vector<BigInt> digits = split_digits_abs(a, digit_bits, k);
 
-    const std::size_t m = base_rows.size();
+    const std::size_t m = plan.num_base_points();
     std::vector<BigInt> ev(m);
-    plan.evaluate_blocks(digits, ev, 1, base_rows);
+    plan.evaluate_blocks(digits, ev, 1);
 
     std::vector<BigInt> squares(m);
     for (std::size_t i = 0; i < m; ++i) {
-        squares[i] = square_rec(ev[i], plan, opts, base_rows);
+        squares[i] = square_rec(ev[i], plan, opts);
     }
     const std::vector<BigInt> coeffs = plan.interpolation().apply(squares);
     BigInt result = recompose_digits(coeffs, digit_bits);
@@ -38,9 +36,7 @@ BigInt square_rec(const BigInt& a, const ToomPlan& plan,
 
 BigInt toom_square(const BigInt& a, const ToomPlan& plan,
                    const SquareOptions& opts) {
-    std::vector<std::size_t> base_rows(plan.num_base_points());
-    std::iota(base_rows.begin(), base_rows.end(), std::size_t{0});
-    return square_rec(a, plan, opts, base_rows);
+    return square_rec(a, plan, opts);
 }
 
 }  // namespace ftmul

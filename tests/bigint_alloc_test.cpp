@@ -12,6 +12,7 @@
 #include "bigint/random.hpp"
 #include "toom/lazy.hpp"
 #include "toom/plan.hpp"
+#include "toom/sequential.hpp"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
@@ -22,8 +23,13 @@ void* operator new(std::size_t n) {
     if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
     throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC 12 otherwise sees free() of memory from the replaced
+// operator new where gtest inlines a delete, and warns
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+    std::free(p);
+}
 
 namespace ftmul {
 namespace {
@@ -44,6 +50,10 @@ TEST(BigIntAlloc, InlineOperandsDoNotAllocate) {
         // reach the add, subtract and reverse-subtract paths.
         const BigInt a = random_signed_bits(rng, 100);
         const BigInt b = random_signed_bits(rng, 20);
+        // Two limbs each, with a product of three: the 2+2-limb product
+        // buffer must not spill to the heap.
+        const BigInt x = random_signed_bits(rng, 90);
+        const BigInt y = random_signed_bits(rng, 90);
         BigInt c;
         auto ops = [&] {
             c = a + b;
@@ -54,6 +64,7 @@ TEST(BigIntAlloc, InlineOperandsDoNotAllocate) {
             add_scaled(c, a, -3);
             add_scaled(c, b, 5);
             add_mul(c, a, b);
+            c = x * y;
         };
         ops();  // warm-up: the thread's LimbArena slabs exist from here on
         EXPECT_EQ(allocations(ops), 0u) << "trial " << trial;
@@ -78,6 +89,39 @@ TEST(BigIntAlloc, WarmLeafAllocatesOnlyItsResult) {
     };
     EXPECT_EQ(warm_leaf_allocations(72), 1u);
     EXPECT_EQ(warm_leaf_allocations(261), 1u);
+}
+
+TEST(BigIntAlloc, WarmToomMultiplyAllocatesOnlyItsProduct) {
+    // Once the thread's level workspaces and LimbArena have grown, a call
+    // allocates only its product, however deep the recursion goes.
+    struct Case {
+        const char* name;
+        int k;
+        std::size_t threshold_bits;
+        std::size_t a_bits, b_bits;
+        bool negative;
+    };
+    const Case cases[] = {
+        {"schoolbook", 3, 2048, 1500, 1200, false},
+        {"one Toom-3 level", 3, 2048, 3500, 3000, false},
+        {"two Toom-3 levels", 3, 512, 3500, 3000, false},
+        {"Toom-2 down to 64 bits", 2, 64, 4000, 3900, false},
+        {"negative result", 3, 2048, 4000, 2500, true},
+    };
+    for (const Case& c : cases) {
+        Rng rng{c.a_bits + c.b_bits};
+        const BigInt a = random_bits(rng, c.a_bits);
+        const BigInt b = c.negative ? -random_bits(rng, c.b_bits)
+                                    : random_bits(rng, c.b_bits);
+        const ToomPlan& plan = ToomPlan::make(c.k);
+        ToomOptions opts;
+        opts.threshold_bits = c.threshold_bits;
+        BigInt p = toom_multiply(a, b, plan, opts);  // warm-up
+        EXPECT_EQ(allocations([&] { p = toom_multiply(a, b, plan, opts); }),
+                  1u)
+            << c.name;
+        EXPECT_EQ(p, a * b) << c.name;
+    }
 }
 
 }  // namespace

@@ -479,7 +479,7 @@ TEST(LimbKernels, InPlaceVariantsMatchOutOfPlace) {
             EXPECT_EQ(acc, detail::sub_reference(big, sml)) << an << " " << bn;
 
             detail::Limbs out;
-            detail::mul_into(a, b, out);
+            detail::mul_into(out, a, b);
             EXPECT_EQ(out, detail::mul_reference(a, b)) << an << " " << bn;
 
             // addmul_small against mul_small + add.
@@ -488,6 +488,45 @@ TEST(LimbKernels, InPlaceVariantsMatchOutOfPlace) {
             detail::addmul_small(acc, b, m);
             EXPECT_EQ(acc, detail::add_reference(a, detail::mul_small(b, m)))
                 << an << " " << bn;
+
+            // mul_small written into a warm accumulator (a holds a value
+            // and a's limb storage) against mul_small: same value, same
+            // charge.
+            acc = a;
+            OpsCounter::reset();
+            detail::mul_small_into(acc, b, m);
+            const std::uint64_t into_charge = OpsCounter::get();
+            OpsCounter::reset();
+            const detail::Limbs fresh = detail::mul_small(b, m);
+            EXPECT_EQ(acc, fresh) << an << " " << bn;
+            EXPECT_EQ(into_charge, OpsCounter::get()) << an << " " << bn;
+        }
+    }
+
+    // Hensel exact division against divmod on exact multiples: the divisors
+    // of the interpolation denominators (1, 2, 3, 6), the extremes of the
+    // power of two and of the odd part, and random 2^s * odd divisors.
+    std::vector<std::uint64_t> divisors = {1, 2, 3, 6, std::uint64_t{1} << 63,
+                                           0xFFFFFFFFFFFFFFC5ull};
+    for (int i = 0; i < 8; ++i) {
+        const unsigned s = static_cast<unsigned>(rng.next_below(64));
+        divisors.push_back((rng.next_u64() | 1) << s);
+    }
+    for (const std::uint64_t d : divisors) {
+        for (std::size_t qn : {1u, 2u, 3u, 4u, 17u, 45u, 129u}) {
+            const detail::Limbs q = rand_limbs(qn);
+            const detail::Limbs a = detail::mul(q, detail::Limbs{d});
+            detail::Limbs want_q, want_r;
+            OpsCounter::reset();
+            detail::divmod(a, detail::Limbs{d}, want_q, want_r);
+            const std::uint64_t divmod_charge = OpsCounter::get();
+            detail::Limbs got = a;
+            OpsCounter::reset();
+            detail::divexact_small(got, d);
+            EXPECT_EQ(got, want_q) << d << " " << qn;
+            EXPECT_EQ(got, q) << d << " " << qn;
+            EXPECT_TRUE(want_r.empty()) << d << " " << qn;
+            EXPECT_EQ(OpsCounter::get(), divmod_charge) << d << " " << qn;
         }
     }
     // Self-aliasing add_into (acc += acc) exercised explicitly: the asm
