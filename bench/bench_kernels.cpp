@@ -20,9 +20,11 @@
 //
 // Usage: bench_kernels [--smoke]   (--smoke = tiny sizes for CI)
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,7 +34,9 @@
 #include "bigint/limb_ops.hpp"
 #include "bigint/ops_counter.hpp"
 #include "bigint/random.hpp"
+#include "core/config.hpp"
 #include "runtime/machine.hpp"
+#include "toom/digits.hpp"
 #include "toom/lazy.hpp"
 #include "toom/plan.hpp"
 #include "toom/sequential.hpp"
@@ -49,27 +53,30 @@ constexpr double kPrePrToomSeqNs = 8.827e6;
 
 void keep(const void* p) { asm volatile("" : : "g"(p) : "memory"); }
 
-/// Interleaved A/B wall-clock: alternate whole rounds of each candidate and
-/// keep the best per-op time of any round. Interleaving means a load spike
-/// hits both sides; min-of-rounds discards it.
-template <typename FA, typename FB>
-std::pair<double, double> ab_time_ns(FA&& fa, FB&& fb, int iters,
-                                     int rounds) {
-    double best_a = 1e300, best_b = 1e300;
+/// Best per-op wall-clock of each candidate over @p rounds rounds of
+/// @p iters calls. With several candidates the rounds alternate between
+/// them, in argument order, so a load spike hits every candidate;
+/// min-of-rounds discards it.
+template <typename... Fs>
+std::array<double, sizeof...(Fs)> best_of_rounds_ns(int iters, int rounds,
+                                                    Fs&&... fs) {
+    std::array<double, sizeof...(Fs)> best;
+    best.fill(1e300);
     for (int r = 0; r < rounds; ++r) {
-        auto t0 = Clock::now();
-        for (int i = 0; i < iters; ++i) fa();
-        auto t1 = Clock::now();
-        for (int i = 0; i < iters; ++i) fb();
-        auto t2 = Clock::now();
-        best_a = std::min(
-            best_a, std::chrono::duration<double, std::nano>(t1 - t0).count() /
-                        iters);
-        best_b = std::min(
-            best_b, std::chrono::duration<double, std::nano>(t2 - t1).count() /
-                        iters);
+        std::size_t i = 0;
+        const auto time = [&](auto& f) {
+            const auto t0 = Clock::now();
+            for (int it = 0; it < iters; ++it) f();
+            const auto t1 = Clock::now();
+            best[i] = std::min(
+                best[i],
+                std::chrono::duration<double, std::nano>(t1 - t0).count() /
+                    iters);
+            ++i;
+        };
+        (time(fs), ...);
     }
-    return {best_a, best_b};
+    return best;
 }
 
 /// F charged by one invocation, via the thread-local OpsCounter.
@@ -106,7 +113,7 @@ void ab_rows(std::vector<bench::Row>& rows, const std::string& name,
              FRef&& fref, FOpt&& fopt, int iters, int rounds, bool ok) {
     const std::uint64_t fr = charged_flops(fref);
     const std::uint64_t fo = charged_flops(fopt);
-    const auto [ref_ns, opt_ns] = ab_time_ns(fref, fopt, iters, rounds);
+    const auto [ref_ns, opt_ns] = best_of_rounds_ns(iters, rounds, fref, fopt);
     rows.push_back(kernel_row(name + "/reference", ref_ns, fr, ok));
     rows.push_back(kernel_row(name + "/optimized", opt_ns, fo, ok && fo == fr));
     std::printf("%-28s ref %12.1f ns  opt %12.1f ns  speedup %5.2fx  F %s\n",
@@ -141,28 +148,77 @@ void leaf_path_table(bench::JsonReport& report, bool smoke) {
 void leaf_convolve_table(bench::JsonReport& report, bool smoke) {
     bench::print_header("parallel leaf: toom_convolve (k=2, 32-bit digits)");
     // The leaf of a 32768-bit chaos_recovery request on 9 ranks: 261 digits,
-    // base_len 4. The same size runs in smoke mode, so bench_diff checks
-    // its F and its ok flag (coefficients and charge identical) on every
-    // push.
+    // at the paper benches' base 4 and at ParallelConfig's default base, the
+    // one every service plan runs. The same rows run in smoke mode, so
+    // bench_diff checks their F and ok flags (coefficients and charge
+    // identical) on every push; the default-base rows keep their name when
+    // the default moves, so a rise in its F fails that check.
     const ToomPlan& plan = ToomPlan::make(2);
     Rng rng{261};
-    std::vector<BigInt> a, b;
-    for (int i = 0; i < 261; ++i) a.push_back(random_below_2pow(rng, 32));
-    for (int i = 0; i < 261; ++i) b.push_back(random_below_2pow(rng, 32));
-    const bool ok =
-        toom_convolve(plan, a, b, 4) == toom_convolve_reference(plan, a, b, 4);
+    const std::vector<BigInt> a = random_digits(rng, 261, 32);
+    const std::vector<BigInt> b = random_digits(rng, 261, 32);
     std::vector<bench::Row> rows;
-    ab_rows(
-        rows, "toom_convolve/261",
-        [&] {
-            auto r = toom_convolve_reference(plan, a, b, 4);
-            keep(r.data());
-        },
-        [&] { auto r = toom_convolve(plan, a, b, 4); keep(r.data()); },
-        smoke ? 3 : 40, smoke ? 3 : 5, ok);
+    const std::pair<const char*, std::size_t> bases[] = {
+        {"toom_convolve/261", 4},
+        {"toom_convolve/261/default_base", ParallelConfig{}.base_len}};
+    for (const auto& [name, base] : bases) {
+        const bool ok = toom_convolve(plan, a, b, base) ==
+                        toom_convolve_reference(plan, a, b, base);
+        ab_rows(
+            rows, name,
+            [&] {
+                auto r = toom_convolve_reference(plan, a, b, base);
+                keep(r.data());
+            },
+            [&] { auto r = toom_convolve(plan, a, b, base); keep(r.data()); },
+            smoke ? 3 : 40, smoke ? 3 : 5, ok);
+    }
     bench::print_rows(rows, 0);
     report.add_table("parallel leaf: toom_convolve (k=2, 32-bit digits)", rows,
                      0);
+}
+
+void leaf_base_sweep_table(bench::JsonReport& report) {
+    // Where the leaf's recursion stops: toom_convolve at bases 4, 8, 12 and
+    // 16 on four leaf lengths the service plans form, from the smallest (72
+    // digits) to the largest on 9 ranks (261). One table per length, base 4
+    // first, so the printed F/base column is each base's F against base
+    // 4's. Full runs only: the committed baseline keeps these rows for the
+    // record, and no CI gate reads them.
+    const ToomPlan& plan = ToomPlan::make(2);
+    const std::size_t bases[] = {4, 8, 12, 16};
+    for (const std::size_t len : {72, 117, 144, 261}) {
+        const std::string title = "parallel leaf base sweep: toom_convolve/" +
+                                  std::to_string(len) +
+                                  " (k=2, 32-bit digits)";
+        bench::print_header(title);
+        Rng rng{len};
+        const std::vector<BigInt> a = random_digits(rng, len, 32);
+        const std::vector<BigInt> b = random_digits(rng, len, 32);
+        const std::vector<BigInt> want = convolve_schoolbook(a, b);
+        const auto at = [&](std::size_t base) {
+            return [&, base] {
+                auto out = toom_convolve(plan, a, b, base);
+                keep(out.data());
+            };
+        };
+        const auto ns = best_of_rounds_ns(
+            static_cast<int>(4'000'000 / (len * len)), 5, at(bases[0]),
+            at(bases[1]), at(bases[2]), at(bases[3]));
+        std::vector<bench::Row> rows;
+        for (std::size_t i = 0; i < std::size(bases); ++i) {
+            std::vector<BigInt> out;
+            const std::uint64_t f = charged_flops(
+                [&] { out = toom_convolve(plan, a, b, bases[i]); });
+            rows.push_back(kernel_row("toom_convolve/" + std::to_string(len) +
+                                          "/base" + std::to_string(bases[i]),
+                                      ns[i], f, out == want));
+            std::printf("%-28s %12.1f ns  F %llu\n", rows.back().name.c_str(),
+                        ns[i], static_cast<unsigned long long>(f));
+        }
+        bench::print_rows(rows, 0);
+        report.add_table(title, rows, 0);
+    }
 }
 
 void addsub_table(bench::JsonReport& report, bool smoke) {
@@ -221,18 +277,10 @@ void toom_end_to_end_table(bench::JsonReport& report, bool smoke) {
     const int rounds = smoke ? 2 : 8;
     const std::uint64_t flops =
         charged_flops([&] { r = toom_multiply(a, b, plan, opts); });
-    double wall = 1e300;
-    for (int round = 0; round < rounds; ++round) {
-        auto t0 = Clock::now();
-        for (int i = 0; i < iters; ++i) {
-            r = toom_multiply(a, b, plan, opts);
-            keep(&r);
-        }
-        auto t1 = Clock::now();
-        wall = std::min(
-            wall,
-            std::chrono::duration<double, std::nano>(t1 - t0).count() / iters);
-    }
+    const double wall = best_of_rounds_ns(iters, rounds, [&] {
+        r = toom_multiply(a, b, plan, opts);
+        keep(&r);
+    })[0];
     std::vector<bench::Row> rows;
     std::size_t baseline = 0;
     if (!smoke) {
@@ -266,15 +314,8 @@ void machine_reuse_table(bench::JsonReport& report, bool smoke) {
         rank.note_memory(8);
     };
     Machine machine(world);
-    double run_ns = 1e300;
-    for (int r = 0; r < rounds; ++r) {
-        const auto t0 = Clock::now();
-        for (int i = 0; i < runs; ++i) machine.run(body);
-        const auto t1 = Clock::now();
-        run_ns = std::min(
-            run_ns,
-            std::chrono::duration<double, std::nano>(t1 - t0).count() / runs);
-    }
+    const double run_ns =
+        best_of_rounds_ns(runs, rounds, [&] { machine.run(body); })[0];
     bench::Row row = kernel_row("machine_run/fibers", run_ns,
                                 machine.stats().aggregate.flops, true);
     row.processors = world;
@@ -295,6 +336,7 @@ int main(int argc, char** argv) {
     ftmul::bench::JsonReport report("kernels");
     ftmul::leaf_path_table(report, smoke);
     ftmul::leaf_convolve_table(report, smoke);
+    if (!smoke) ftmul::leaf_base_sweep_table(report);
     ftmul::addsub_table(report, smoke);
     ftmul::toom_end_to_end_table(report, smoke);
     ftmul::machine_reuse_table(report, smoke);

@@ -26,4 +26,14 @@ BigInt random_signed_bits(Rng& rng, std::size_t bits) {
     return (rng.next_u64() & 1u) ? -v : v;
 }
 
+std::vector<BigInt> random_digits(Rng& rng, std::size_t len,
+                                  std::size_t bits) {
+    std::vector<BigInt> v;
+    v.reserve(len);
+    for (std::size_t i = 0; i < len; ++i) {
+        v.push_back(random_below_2pow(rng, bits));
+    }
+    return v;
+}
+
 }  // namespace ftmul

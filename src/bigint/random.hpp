@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "bigint/bigint.hpp"
 
@@ -38,5 +39,9 @@ BigInt random_below_2pow(Rng& rng, std::size_t bits);
 
 /// Uniformly signed variant of random_bits.
 BigInt random_signed_bits(Rng& rng, std::size_t bits);
+
+/// @p len integers, each uniform below 2^bits: the digits of a random
+/// operand, as the leaf convolution's tests and benchmarks draw them.
+std::vector<BigInt> random_digits(Rng& rng, std::size_t len, std::size_t bits);
 
 }  // namespace ftmul

@@ -25,8 +25,12 @@ struct ParallelConfig {
     /// limited, the algorithm prepends DFS steps per Lemma 3.1.
     std::uint64_t memory_limit_words = 0;
 
-    /// Sequential recursion cutoff inside a leaf block (digits).
-    std::size_t base_len = 4;
+    /// Sequential recursion cutoff inside a leaf block (digits). The
+    /// default is the largest base whose leaf F, summed over every leaf
+    /// length from 33 to 1,040 digits, does not exceed base 4's at k = 2 or
+    /// 3 with 32- or 64-bit digits; base 8 charges more at k = 2 with
+    /// 64-bit digits (the LeafBase tests in tests/toom_lazy_test.cpp).
+    std::size_t base_len = 7;
 
     /// Force an exact number of DFS steps (-1 = derive from the memory
     /// limit). Used by the limited-memory benchmarks to sweep the knob.

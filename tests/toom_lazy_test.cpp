@@ -3,11 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
+#include <ostream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bigint/ops_counter.hpp"
 #include "bigint/random.hpp"
+#include "core/config.hpp"
 #include "toom/digits.hpp"
 #include "toom/sequential.hpp"
 
@@ -120,15 +126,100 @@ TEST(ToomConvolve, LeafChargeIsPinned) {
     // A leaf of a 32768-bit chaos_recovery request (k = 2 on 9 ranks): 261
     // digits of 32 bits. The charge is the cost model's F for this leaf;
     // changes to limb storage or the kernels must leave it exactly as is.
+    // Base 4 is the paper benches' base, the default the one every service
+    // plan runs.
     const ToomPlan& plan = ToomPlan::make(2);
     Rng rng{261};
-    std::vector<BigInt> a, b;
-    for (int i = 0; i < 261; ++i) a.push_back(random_below_2pow(rng, 32));
-    for (int i = 0; i < 261; ++i) b.push_back(random_below_2pow(rng, 32));
-    OpsCounter::reset();
-    const std::vector<BigInt> out = toom_convolve(plan, a, b, 4);
-    EXPECT_EQ(OpsCounter::get(), 74100u);
-    EXPECT_EQ(out, convolve_schoolbook(a, b));
+    const std::vector<BigInt> a = random_digits(rng, 261, 32);
+    const std::vector<BigInt> b = random_digits(rng, 261, 32);
+    const std::vector<BigInt> want = convolve_schoolbook(a, b);
+    const std::pair<std::size_t, std::uint64_t> pins[] = {
+        {4, 74100}, {ParallelConfig{}.base_len, 67108}};
+    for (const auto& [base_len, charge] : pins) {
+        OpsCounter::reset();
+        const std::vector<BigInt> out = toom_convolve(plan, a, b, base_len);
+        EXPECT_EQ(OpsCounter::get(), charge) << "base " << base_len;
+        EXPECT_EQ(out, want) << "base " << base_len;
+    }
+}
+
+// The rule that picks ParallelConfig::base_len: the largest base whose leaf
+// F does not exceed base 4's at k = 2 or 3 with 32- or 64-bit digits, summed
+// over every leaf length from 33 to 1,040 digits. Each length's operands
+// are drawn from Rng{length}, a's digits first.
+
+struct LeafShape {
+    int k;
+    std::size_t digit_bits;
+};
+
+constexpr LeafShape kLeafShapes[] = {{2, 32}, {2, 64}, {3, 32}, {3, 64}};
+
+void PrintTo(const LeafShape& shape, std::ostream* os) {
+    *os << "k=" << shape.k << ", " << shape.digit_bits << "-bit digits";
+}
+
+/// toom_convolve's F summed over leaves of each length in @p lens.
+std::uint64_t summed_leaf_charge(LeafShape shape,
+                                 const std::vector<std::size_t>& lens,
+                                 std::size_t base_len) {
+    const ToomPlan& plan = ToomPlan::make(shape.k);
+    std::uint64_t sum = 0;
+    for (const std::size_t len : lens) {
+        Rng rng{len};
+        const std::vector<BigInt> a = random_digits(rng, len, shape.digit_bits);
+        const std::vector<BigInt> b = random_digits(rng, len, shape.digit_bits);
+        OpsCounter::reset();
+        (void)toom_convolve(plan, a, b, base_len);
+        sum += OpsCounter::get();
+    }
+    return sum;
+}
+
+std::vector<std::size_t> every_leaf_length() {
+    std::vector<std::size_t> lens;
+    for (std::size_t n = 33; n <= 1040; ++n) lens.push_back(n);
+    return lens;
+}
+
+class LeafBaseAtShape : public ::testing::TestWithParam<LeafShape> {};
+
+TEST_P(LeafBaseAtShape, DefaultDoesNotRaiseF) {
+    const std::vector<std::size_t> lens = every_leaf_length();
+    EXPECT_LE(summed_leaf_charge(GetParam(), lens, ParallelConfig{}.base_len),
+              summed_leaf_charge(GetParam(), lens, 4));
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryLeafLength, LeafBaseAtShape,
+                         ::testing::ValuesIn(kLeafShapes),
+                         [](const auto& info) {
+                             return "K" + std::to_string(info.param.k) +
+                                    "Bits" +
+                                    std::to_string(info.param.digit_bits);
+                         });
+
+TEST(LeafBase, NextBaseRaisesF) {
+    // The default is the largest such base: one more charges more than 4 at
+    // one shape at least.
+    const std::vector<std::size_t> lens = every_leaf_length();
+    const std::size_t next = ParallelConfig{}.base_len + 1;
+    EXPECT_TRUE(std::any_of(
+        std::begin(kLeafShapes), std::end(kLeafShapes),
+        [&](const LeafShape& shape) {
+            return summed_leaf_charge(shape, lens, next) >
+                   summed_leaf_charge(shape, lens, 4);
+        }));
+}
+
+TEST(LeafBase, DefaultDoesNotRaiseFOnServiceLeaves) {
+    // The leaf lengths the service's machine plans form for 8192- to
+    // 32768-bit operands at k = 2 with 32-bit digits: multiples of the
+    // world, 9 ranks for parallel and replication, 12 for the coded engines.
+    std::vector<std::size_t> lens;
+    for (std::size_t n = 72; n <= 261; n += 9) lens.push_back(n);
+    for (std::size_t n = 72; n <= 264; n += 12) lens.push_back(n);
+    EXPECT_LE(summed_leaf_charge({2, 32}, lens, ParallelConfig{}.base_len),
+              summed_leaf_charge({2, 32}, lens, 4));
 }
 
 TEST(ToomConvolve, RejectsOperandsOfUnequalLength) {
@@ -200,7 +291,7 @@ TEST(ToomConvolve, MatchesReferenceCoefficientsAndCharges) {
     for (int trial = 0; trial < 1200; ++trial) {
         const int k = 2 + static_cast<int>(rng.next_below(4));
         const ToomPlan& plan = ToomPlan::make(k);
-        const std::size_t base_len = 1 + rng.next_below(6);
+        const std::size_t base_len = 1 + rng.next_below(16);
         const std::size_t len = 1 + rng.next_below(trial % 4 == 0 ? 400 : 80);
         std::size_t bits = widths[rng.next_below(std::size(widths))];
         bool top = false;
