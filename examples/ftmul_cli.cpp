@@ -1,13 +1,8 @@
 // Command-line long-integer multiplier exposing every engine.
 //
 //   ftmul_cli [options] A B          multiply A by B
-//   ftmul_cli --op divmod A B        quotient and remainder (Newton + Toom)
-//   ftmul_cli --op isqrt A           integer square root
-//   ftmul_cli --op gcd A B           greatest common divisor (binary)
-//   ftmul_cli --op factorial N       N! via product tree + Toom
 //   options:
-//     --engine seq|lazy|unbalanced|parallel|replication|ft-linear|ft-poly|
-//              ft-mixed|auto
+//     --engine seq|lazy|parallel|replication|ft-linear|ft-poly|ft-mixed|auto
 //     --class fast|fast_redundant|verified
 //                       reliability class steering --engine auto (default
 //                       fast); see docs/SERVICE.md for the policy table
@@ -42,19 +37,16 @@
 #include "core/parallel.hpp"
 #include "core/replication.hpp"
 #include "service/planner.hpp"
-#include "funcs/elementary.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/report.hpp"
 #include "toom/lazy.hpp"
 #include "toom/sequential.hpp"
-#include "toom/unbalanced.hpp"
 
 namespace {
 
 using namespace ftmul;
 
 struct Options {
-    std::string op = "mul";
     std::string engine = "seq";
     std::string cls = "fast";  // reliability class for --engine auto
     int k = 0;  // 0 = engine default
@@ -76,7 +68,7 @@ struct Options {
 [[noreturn]] void usage() {
     std::fprintf(
         stderr,
-        "usage: ftmul_cli [--engine seq|lazy|unbalanced|parallel|replication|"
+        "usage: ftmul_cli [--engine seq|lazy|parallel|replication|"
         "ft-linear|ft-poly|ft-mixed|auto] [--class CLS] [--k K] [--procs P] "
         "[--faults F] [--kill PHASE:RANK] [--hex] [--stats] "
         "[--report json] [--report-out FILE] [--trace-out FILE] "
@@ -110,8 +102,6 @@ Options parse(int argc, char** argv) {
             o.engine = next();
         } else if (arg == "--class") {
             o.cls = next();
-        } else if (arg == "--op") {
-            o.op = next();
         } else if (arg == "--k") {
             o.k = std::atoi(next().c_str());
             if (o.k != 0 && o.k < 2) usage();  // 0 selects the default
@@ -154,9 +144,7 @@ Options parse(int argc, char** argv) {
             o.operands.push_back(arg);
         }
     }
-    const std::size_t expected =
-        (o.op == "isqrt" || o.op == "factorial") ? 1 : 2;
-    if (o.operands.size() != expected) usage();
+    if (o.operands.size() != 2) usage();
     return o;
 }
 
@@ -195,19 +183,12 @@ int main(int argc, char** argv) {
     auto read = [&](const std::string& s) {
         return o.hex ? BigInt::from_hex(s) : BigInt::from_decimal(s);
     };
-    auto write = [&](const BigInt& v) {
-        return o.hex ? v.to_hex() : v.to_decimal();
-    };
     const BigInt a = read(o.operands[0]);
-    const BigInt b = o.operands.size() > 1 ? read(o.operands[1]) : BigInt{};
+    const BigInt b = read(o.operands[1]);
 
     if (o.engine == "auto") {
         // Route through the serving layer's cost-model planner (see the
         // heuristic in --help and the policy table in docs/SERVICE.md).
-        if (o.op != "mul") {
-            std::fprintf(stderr, "ftmul_cli: --engine auto needs --op mul\n");
-            return 2;
-        }
         ReliabilityClass cls;
         try {
             cls = reliability_class_from_string(o.cls);
@@ -242,37 +223,6 @@ int main(int argc, char** argv) {
     const bool wants_obs =
         !o.report.empty() || !o.report_out.empty() || !o.trace_out.empty();
 
-    if (o.op != "mul") {
-        if (wants_obs) {
-            std::fprintf(stderr,
-                         "ftmul_cli: --report/--trace-out need --op mul with a "
-                         "machine engine\n");
-            return 2;
-        }
-        const ToomPlan& plan = ToomPlan::make(o.k ? o.k : 3);
-        auto toom = [&](const BigInt& x, const BigInt& y) {
-            return toom_multiply(x, y, plan);
-        };
-        if (o.op == "divmod") {
-            BigInt qq, rr;
-            newton_divmod(a, b, qq, rr, toom);
-            std::printf("%s\n%s\n", write(qq).c_str(), write(rr).c_str());
-        } else if (o.op == "isqrt") {
-            std::printf("%s\n", write(isqrt(a)).c_str());
-        } else if (o.op == "gcd") {
-            std::printf("%s\n", write(gcd_binary(a, b)).c_str());
-        } else if (o.op == "factorial") {
-            if (!a.fits_int64() || a.is_negative()) usage();
-            std::printf("%s\n",
-                        write(factorial(static_cast<std::uint64_t>(a.to_int64()),
-                                        toom))
-                            .c_str());
-        } else {
-            usage();
-        }
-        return write_metrics_dump(o);
-    }
-
     BigInt product;
     RunStats stats;
     std::shared_ptr<EventLog> events;
@@ -293,14 +243,6 @@ int main(int argc, char** argv) {
             return 2;
         }
         product = toom_multiply_lazy(a, b, ToomPlan::make(o.k ? o.k : 3));
-    } else if (o.engine == "unbalanced") {
-        if (wants_obs) {
-            std::fprintf(stderr,
-                         "ftmul_cli: --report/--trace-out need a machine "
-                         "engine (parallel/ft-*)\n");
-            return 2;
-        }
-        product = toom_multiply_unbalanced(a, b, UnbalancedPlan::make(3, 2));
     } else {
         ParallelConfig base;
         base.k = o.k ? o.k : 2;

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "bigint/montgomery.hpp"
 #include "bigint/random.hpp"
 #include "toom/sequential.hpp"
 
@@ -66,21 +65,6 @@ int main(int argc, char** argv) {
     std::printf("agreement: %s\n",
                 via_toom == via_schoolbook ? "ok" : "MISMATCH");
 
-    // Division-free variant: Montgomery reduction with the Toom-Cook kernel
-    // (the combination of the paper's reference [31]).
-    BigInt mont_modulus = modulus;
-    if ((mont_modulus.magnitude()[0] & 1u) == 0) mont_modulus += BigInt{1};
-    MontgomeryContext mont(mont_modulus, [&](const BigInt& x, const BigInt& y) {
-        return toom_multiply(x, y, plan, opts);
-    });
-    const BigInt via_mont = mont.pow(base, exponent);
-    const BigInt mont_ref = powmod(base, exponent, mont_modulus,
-                                   [](const BigInt& x, const BigInt& y) {
-                                       return x * y;
-                                   });
-    std::printf("Montgomery + Toom-3 (division-free): %s\n",
-                via_mont == mont_ref ? "ok" : "MISMATCH");
-
     // A tiny Fermat check so the example demonstrates a real protocol step:
     // a^(p-1) mod p == 1 for prime p (here p = 2^61 - 1, a Mersenne prime).
     const BigInt p = BigInt::power_of_two(61) - BigInt{1};
@@ -92,8 +76,5 @@ int main(int argc, char** argv) {
     std::printf("Fermat check 31337^(p-1) mod (2^61-1) == 1: %s\n",
                 fermat == BigInt{1} ? "ok" : "MISMATCH");
 
-    return via_toom == via_schoolbook && fermat == BigInt{1} &&
-                   via_mont == mont_ref
-               ? 0
-               : 1;
+    return via_toom == via_schoolbook && fermat == BigInt{1} ? 0 : 1;
 }

@@ -36,10 +36,6 @@ struct ParallelConfig {
     /// limit). Used by the limited-memory benchmarks to sweep the knob.
     int forced_dfs_steps = -1;
 
-    /// Record a full message/phase trace of the run (see runtime/trace.hpp);
-    /// exposed through ParallelRunResult::trace.
-    bool trace = false;
-
     /// Record the typed event log of the run (phase enter/exit, messages,
     /// faults, recoveries, memory peaks; see runtime/events.hpp); exposed
     /// through ParallelRunResult::events / FtRunResult::events and consumed

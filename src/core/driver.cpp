@@ -40,8 +40,7 @@ std::vector<BigInt> weighted(const CodeColumn& col, int rank, int j,
 
 FtRunResult run_engine(const char* name, const BigInt& a, const BigInt& b,
                        const ParallelConfig& base, const FaultPlan& plan,
-                       const std::function<EngineRun(std::size_t n_bits)>& setup,
-                       std::shared_ptr<Tracer>* trace) {
+                       const std::function<EngineRun(std::size_t n_bits)>& setup) {
     const EngineRunScope metrics_scope(name);
     const EngineRun run = setup(std::max(a.bit_length(), b.bit_length()));
     FtRunResult result;
@@ -51,7 +50,6 @@ FtRunResult run_engine(const char* name, const BigInt& a, const BigInt& b,
     if (a.is_zero() || b.is_zero()) return result;
 
     Machine machine(run.spec.world, plan);
-    if (base.trace && trace != nullptr) machine.enable_tracing();
     if (base.events) machine.enable_event_log();
     if (base.transport_guard) machine.set_transport_guard(true);
     // An active model arms the guard along with the injection shim.
@@ -63,7 +61,6 @@ FtRunResult run_engine(const char* name, const BigInt& a, const BigInt& b,
     result.stats = machine.stats();
     result.transport = machine.transport_stats();
     result.events = machine.event_log();
-    if (trace != nullptr) *trace = machine.tracer();
 
     // The algorithm's output is distributed (as in the paper); assembly is
     // verification plumbing outside the cost model. The slices hold the

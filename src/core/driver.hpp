@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <set>
 #include <span>
 #include <string>
@@ -18,7 +17,6 @@
 #include "runtime/fault.hpp"
 #include "runtime/group.hpp"
 #include "runtime/machine.hpp"
-#include "runtime/trace.hpp"
 #include "toom/plan.hpp"
 
 namespace ftmul {
@@ -77,13 +75,11 @@ EngineSpec ft_soft_spec(const FtSoftConfig& cfg);
 /// The one engine driver. Opens the EngineRunScope, then calls `setup`,
 /// which checks the config, then the fault plan, and resolves the shape.
 /// On a zero operand it returns the shape alone. Otherwise it runs the body
-/// on a fresh Machine carrying the plan, with the event log, the tracer
-/// (handed out through @p trace) and the transport armed per @p base, and
-/// assembles the product from the slices.
+/// on a fresh Machine carrying the plan, with the event log and the
+/// transport armed per @p base, and assembles the product from the slices.
 FtRunResult run_engine(const char* name, const BigInt& a, const BigInt& b,
                        const ParallelConfig& base, const FaultPlan& plan,
-                       const std::function<EngineRun(std::size_t n_bits)>& setup,
-                       std::shared_ptr<Tracer>* trace = nullptr);
+                       const std::function<EngineRun(std::size_t n_bits)>& setup);
 
 /// x followed by y: the state a linear code or a checkpoint protects.
 std::vector<BigInt> pack(const std::vector<BigInt>& x,

@@ -243,7 +243,6 @@ std::vector<BigInt> bfs_sweep(Rank& rank, const ToomPlan& plan,
 ParallelRunResult parallel_toom_multiply(const BigInt& a, const BigInt& b,
                                          const ParallelConfig& cfg) {
     using namespace core_detail;
-    ParallelRunResult out;
     FtRunResult r = run_engine(
         "parallel", a, b, cfg, {},
         [&](std::size_t n_bits) {
@@ -298,8 +297,8 @@ ParallelRunResult parallel_toom_multiply(const BigInt& a, const BigInt& b,
                                         shape.total_digits, steps, 0);
             };
             return run;
-        },
-        &out.trace);
+        });
+    ParallelRunResult out;
     out.product = std::move(r.product);
     out.shape = r.shape;
     out.stats = std::move(r.stats);

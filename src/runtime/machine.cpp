@@ -126,9 +126,6 @@ void Rank::close_phase() {
 bool Rank::phase(std::string_view name) {
     close_phase();
     current_phase_ = std::string(name);
-    if (machine_.tracer_) {
-        machine_.tracer_->record_phase(id_, current_phase_, ledger_.size());
-    }
     if (machine_.events_) {
         Event e;
         e.kind = EventKind::PhaseBegin;
@@ -238,16 +235,12 @@ void Rank::send_buf(int dst, int tag, PayloadBuf payload) {
         frames.inc();
     }
     // Under the guard the charged words include the sealed trailer — the
-    // integrity header rides the frame, deterministically, in every charge,
-    // trace line and event below.
+    // integrity header rides the frame, deterministically, in every charge
+    // and event below.
     current_.words += payload.size();
     current_.msgs += 1;
     machine_.metric_msgs_.inc();
     machine_.metric_msg_words_.inc(payload.size());
-    if (machine_.tracer_) {
-        machine_.tracer_->record_send(id_, dst, tag, payload.size(),
-                                      current_phase_);
-    }
     if (machine_.events_) {
         Event e;
         e.kind = EventKind::MessageSend;
@@ -382,10 +375,6 @@ void Rank::send_batch(int dst, std::vector<TaggedPayload> msgs) {
         current_.msgs += 1;
         machine_.metric_msgs_.inc();
         machine_.metric_msg_words_.inc(m.buf.size());
-        if (machine_.tracer_) {
-            machine_.tracer_->record_send(id_, dst, m.tag, m.buf.size(),
-                                          current_phase_);
-        }
         if (machine_.events_) {
             Event e;
             e.kind = EventKind::MessageSend;
@@ -960,12 +949,6 @@ std::string Machine::deadlock_diagnostic(
 
 Machine::~Machine() { release_retention(); }
 
-Tracer& Machine::enable_tracing() {
-    if (!tracer_) tracer_ = std::make_shared<Tracer>();
-    tracer_->bind_world(size_);
-    return *tracer_;
-}
-
 EventLog& Machine::enable_event_log() {
     if (!events_) events_ = std::make_shared<EventLog>();
     return *events_;
@@ -976,7 +959,6 @@ void Machine::run(const std::function<void(Rank&)>& body) {
     ProfileScope run_timer(metric_run_us_);
     stats_ = RunStats{};
     stats_.world = size_;
-    if (tracer_) tracer_->clear();
     if (events_) events_->clear();
     // Fresh mailboxes per run so stale messages never leak across runs;
     // the constructor builds none, so a Machine run once builds them once.

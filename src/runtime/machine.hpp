@@ -20,7 +20,6 @@
 #include "runtime/mailbox.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/msg_pool.hpp"
-#include "runtime/trace.hpp"
 #include "runtime/transport.hpp"
 
 namespace ftmul {
@@ -280,12 +279,6 @@ public:
     /// run start, all zeros when the guard is off.
     TransportStats transport_stats() const noexcept;
 
-    /// Turn on message/phase tracing for subsequent runs; returns the
-    /// tracer (cleared at each run start). The tracer is shared so results
-    /// can outlive the machine.
-    Tracer& enable_tracing();
-    std::shared_ptr<Tracer> tracer() const noexcept { return tracer_; }
-
     /// Turn on the structured event log for subsequent runs (see
     /// runtime/events.hpp); cleared and re-armed at each run start. The log
     /// is shared so results can outlive the machine.
@@ -362,7 +355,6 @@ private:
     std::vector<ParkRecord> parked_;
     std::size_t carrier_offset_;  ///< where rank 0 sits among the carriers
     RunStats stats_;
-    std::shared_ptr<Tracer> tracer_;
     std::shared_ptr<EventLog> events_;
 
     bool transport_guard_ = false;

@@ -50,9 +50,4 @@ BigInt recompose_digits_linear(std::span<const BigInt> digits,
 std::vector<BigInt> convolve_schoolbook(std::span<const BigInt> a,
                                         std::span<const BigInt> b);
 
-/// Split a possibly-negative value into @p count digits carrying the value's
-/// sign, so recompose_digits inverts it exactly. Requires |v| to fit.
-std::vector<BigInt> split_digits_signed(const BigInt& v, std::size_t digit_bits,
-                                        std::size_t count);
-
 }  // namespace ftmul

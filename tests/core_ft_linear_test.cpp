@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
+
 #include "bigint/random.hpp"
 #include "core/parallel.hpp"
 
@@ -106,6 +110,64 @@ INSTANTIATE_TEST_SUITE_P(
         FtLinearCase{3, 25, 2, "leaf-mul", {3, 13}, 4000},
         FtLinearCase{2, 27, 1, "interp-L0", {11}, 5000},
         FtLinearCase{4, 7, 1, "eval-L0", {2}, 2000}));
+
+struct ColumnCase {
+    int k;
+    int P;
+    const char* phase;
+};
+
+void PrintTo(const ColumnCase& c, std::ostream* os) {
+    *os << "k=" << c.k << ", P=" << c.P << ", " << c.phase;
+}
+
+class FtLinearColumnErasures : public ::testing::TestWithParam<ColumnCase> {};
+
+TEST_P(FtLinearColumnErasures, EveryDeadSetOfOneOrTwoRecovers) {
+    // The column code has distance f + 1 (Definition 2.7): with f = 2, every
+    // dead set of one or two ranks inside one level-0 column, here the
+    // ranks r with r mod (2k-1) = 1, must still yield the exact product.
+    const auto [k, P, phase] = GetParam();
+    const int q = 2 * k - 1;
+    std::vector<int> column;
+    for (int r = 1; r < P; r += q) column.push_back(r);
+    Rng rng{static_cast<std::uint64_t>(k * 100 + P)};
+    const BigInt a = random_bits(rng, 2000 * static_cast<std::size_t>(k));
+    const BigInt b = random_bits(rng, 2000 * static_cast<std::size_t>(k) - 100);
+    const BigInt expect = a * b;
+    std::size_t sets = 0;
+    for (std::size_t i = 0; i < column.size(); ++i) {
+        for (std::size_t j = i; j < column.size(); ++j) {
+            FaultPlan plan;
+            plan.add(phase, column[i]);
+            if (j != i) plan.add(phase, column[j]);
+            EXPECT_EQ(ft_linear_multiply(a, b, make_cfg(k, P, 2), plan).product,
+                      expect)
+                << phase << " dead {" << column[i] << ", " << column[j] << "}";
+            ++sets;
+        }
+    }
+    const std::size_t m = column.size();
+    EXPECT_EQ(sets, m + m * (m - 1) / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Columns, FtLinearColumnErasures,
+    ::testing::Values(ColumnCase{2, 9, "eval-L0"}, ColumnCase{2, 9, "interp-L0"},
+                      ColumnCase{3, 25, "eval-L0"},
+                      ColumnCase{3, 25, "interp-L0"},
+                      ColumnCase{2, 9, "leaf-mul"},
+                      ColumnCase{3, 25, "leaf-mul"}),
+    [](const auto& info) {
+        std::string name = "K";  // appends: GCC 12 -Wrestrict
+        name += std::to_string(info.param.k);
+        name += "P";
+        name += std::to_string(info.param.P);
+        name += "_";
+        name += info.param.phase;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
 struct DeepCase {
     int k;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "bigint/random.hpp"
 #include "toom/sequential.hpp"
 
@@ -89,6 +92,60 @@ INSTANTIATE_TEST_SUITE_P(
                       ParCase{3, 5, 4096, 0}, ParCase{3, 5, 4096, 1},
                       ParCase{3, 25, 10000, 0}, ParCase{4, 7, 6000, 0},
                       ParCase{2, 1, 1024, 0}, ParCase{5, 9, 5000, 0}));
+
+struct LopsidedParCase {
+    int k;
+    int P;
+    std::size_t bits_a;
+    std::size_t bits_b;
+    int forced_dfs;
+};
+
+void PrintTo(const LopsidedParCase& c, std::ostream* os) {
+    *os << "k=" << c.k << ", P=" << c.P << ", " << c.bits_a << " x "
+        << c.bits_b << " bits, " << c.forced_dfs << " DFS steps";
+}
+
+class ParallelLopsidedSweep : public ::testing::TestWithParam<LopsidedParCase> {};
+
+TEST_P(ParallelLopsidedSweep, ProductMatchesSchoolbook) {
+    // The digit count follows the longer operand, so the shorter one's
+    // block-cyclic slices are mostly, and on some ranks wholly, zero.
+    const auto [k, P, bits_a, bits_b, dfs] = GetParam();
+    ParallelConfig cfg;
+    cfg.k = k;
+    cfg.processors = P;
+    cfg.digit_bits = 32;
+    cfg.base_len = 4;
+    cfg.forced_dfs_steps = dfs;
+    Rng rng{static_cast<std::uint64_t>(k * 1000 + P * 10 + dfs) + bits_b};
+    const BigInt a = random_signed_bits(rng, bits_a);
+    const BigInt b = random_signed_bits(rng, bits_b);
+    auto res = parallel_toom_multiply(a, b, cfg);
+    EXPECT_EQ(res.product, a * b)
+        << "k=" << k << " P=" << P << " shape: " << res.shape.to_string();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ParallelLopsidedSweep,
+    ::testing::Values(LopsidedParCase{2, 3, 8000, 300, 0},
+                      LopsidedParCase{2, 9, 300, 8000, 0},
+                      LopsidedParCase{2, 27, 12000, 64, 0},
+                      LopsidedParCase{3, 25, 10000, 900, 0},
+                      LopsidedParCase{3, 5, 6000, 100, 1}),
+    [](const auto& info) {
+        std::string name = "K";  // appends: GCC 12 -Wrestrict
+        name += std::to_string(info.param.k);
+        name += "P";
+        name += std::to_string(info.param.P);
+        name += "A";
+        name += std::to_string(info.param.bits_a);
+        name += "B";
+        name += std::to_string(info.param.bits_b);
+        name += "Dfs";
+        name += std::to_string(info.param.forced_dfs);
+        return name;
+    });
 
 TEST(Parallel, SignsAndZero) {
     ParallelConfig cfg;

@@ -11,7 +11,6 @@
 #include "core/parallel.hpp"
 #include "toom/lazy.hpp"
 #include "toom/sequential.hpp"
-#include "toom/unbalanced.hpp"
 
 namespace ftmul {
 namespace {
@@ -62,14 +61,11 @@ TEST_P(DifferentialFuzz, SequentialEnginesAgreeWithOracle) {
     const ToomPlan p2 = ToomPlan::make(2);
     const ToomPlan p3 = ToomPlan::make(3);
     const ToomPlan p5 = ToomPlan::make(5);
-    const UnbalancedPlan u32 = UnbalancedPlan::make(3, 2);
     ToomOptions seq;
     seq.threshold_bits = 128;
     LazyOptions lazy;
     lazy.digit_bits = 32;
     lazy.base_len = 2;
-    UnbalancedOptions unb;
-    unb.threshold_bits = 128;
 
     for (int iter = 0; iter < 12; ++iter) {
         BigInt a = gen_operand(rng, 6000);
@@ -81,7 +77,6 @@ TEST_P(DifferentialFuzz, SequentialEnginesAgreeWithOracle) {
         ASSERT_EQ(toom_multiply(a, b, p3, seq), oracle) << iter;
         ASSERT_EQ(toom_multiply(a, b, p5, seq), oracle) << iter;
         ASSERT_EQ(toom_multiply_lazy(a, b, p3, lazy), oracle) << iter;
-        ASSERT_EQ(toom_multiply_unbalanced(a, b, u32, unb), oracle) << iter;
     }
 }
 

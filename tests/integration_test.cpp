@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "bigint/random.hpp"
 #include "core/checkpoint.hpp"
 #include "core/ft_linear.hpp"
@@ -16,8 +21,6 @@
 #include "core/replication.hpp"
 #include "toom/lazy.hpp"
 #include "toom/sequential.hpp"
-#include "toom/squaring.hpp"
-#include "toom/unbalanced.hpp"
 
 namespace ftmul {
 namespace {
@@ -33,8 +36,6 @@ TEST(Integration, EveryEngineAgrees) {
         EXPECT_EQ(toom_multiply(a, b, plan), expect) << "seq k=" << k;
         EXPECT_EQ(toom_multiply_lazy(a, b, plan), expect) << "lazy k=" << k;
     }
-    EXPECT_EQ(toom_multiply_unbalanced(a, b, UnbalancedPlan::make(3, 2)),
-              expect);
 
     ParallelConfig base;
     base.k = 2;
@@ -63,15 +64,111 @@ TEST(Integration, SquareOfSumIdentity) {
     const BigInt a = random_bits(rng, 4000);
     const BigInt b = random_bits(rng, 3500);
     const ToomPlan plan = ToomPlan::make(3);
-    const BigInt lhs = toom_square(a + b, plan);
+    const BigInt lhs = toom_multiply(a + b, a + b, plan);
     ParallelConfig base;
     base.k = 2;
     base.processors = 3;
     const BigInt ab = parallel_toom_multiply(a, b, base).product;
     const BigInt rhs =
-        toom_square(a, plan) + (ab << 1) + toom_multiply_lazy(b, b, plan);
+        toom_multiply(a, a, plan) + (ab << 1) + toom_multiply_lazy(b, b, plan);
     EXPECT_EQ(lhs, rhs);
 }
+
+// ---------------------------------------------------------------------------
+// Structured operands through every engine: slot-packed polynomial
+// coefficients, all-ones and single-bit values, a long zero run under a
+// random top, and a negative operand, with a fault where the engine
+// tolerates one.
+// ---------------------------------------------------------------------------
+
+std::vector<std::pair<BigInt, BigInt>> structured_pairs() {
+    Rng rng{99};
+    // 128 coefficients of 10 bits in 40-bit slots: the product's slots hold
+    // the two polynomials' convolution.
+    BigInt pa, pb;
+    for (std::size_t at = 0; at < 128 * 40; at += 40) {
+        pa += random_bits(rng, 10) << at;
+        pb += random_bits(rng, 10) << at;
+    }
+    const BigInt ones = BigInt::power_of_two(4500) - BigInt{1};
+    const BigInt spike = BigInt::power_of_two(3999) + BigInt{1};
+    const BigInt high = random_bits(rng, 1200) << 3000;
+    return {{pa, pb}, {ones, spike}, {high, ones}, {-ones, pb}};
+}
+
+class StructuredEngineSweep : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(StructuredEngineSweep, ProductIsExact) {
+    const std::string engine = GetParam();
+    ParallelConfig base;
+    base.k = 2;
+    base.processors = 9;
+    base.digit_bits = 32;
+    base.base_len = 4;
+    for (const auto& [a, b] : structured_pairs()) {
+        BigInt got;
+        if (engine == "lazy") {
+            got = toom_multiply_lazy(a, b, ToomPlan::make(3));
+        } else if (engine == "parallel") {
+            got = parallel_toom_multiply(a, b, base).product;
+        } else if (engine == "parallel-dfs") {
+            ParallelConfig dfs = base;
+            dfs.forced_dfs_steps = 1;
+            got = parallel_toom_multiply(a, b, dfs).product;
+        } else if (engine == "ft-linear") {
+            FaultPlan plan;
+            plan.add("eval-L0", 4);
+            plan.add("interp-L0", 2);
+            got = ft_linear_multiply(a, b, {base, 1}, plan).product;
+        } else if (engine == "ft-poly") {
+            FaultPlan plan;
+            plan.add("mul", 2);
+            got = ft_poly_multiply(a, b, {base, 1}, plan).product;
+        } else if (engine == "ft-mixed") {
+            FaultPlan plan;
+            plan.add("mul", 1);
+            plan.add("eval-L0", 6);
+            got = ft_mixed_multiply(a, b, {base, 1}, plan).product;
+        } else if (engine == "ft-multistep") {
+            FtMultistepConfig ms;
+            ms.base = base;
+            ms.faults = 1;
+            ms.fused_steps = 2;
+            FaultPlan plan;
+            plan.add("mul", 3);
+            got = ft_multistep_multiply(a, b, ms, plan).product;
+        } else if (engine == "replication") {
+            FaultPlan plan;
+            plan.add("leaf-mul", 0);
+            got = replicated_toom_multiply(a, b, {base, 1}, plan).product;
+        } else if (engine == "checkpoint") {
+            FaultPlan plan;
+            plan.add("eval-L0", 3);
+            got = checkpoint_toom_multiply(a, b, {base}, plan).product;
+        } else {
+            ASSERT_EQ(engine, "ft-soft");
+            FtSoftConfig soft;
+            soft.base = base;
+            SoftFaultPlan plan;
+            plan.add("leaf-mul", 4);
+            const auto res = ft_soft_multiply(a, b, soft, plan);
+            EXPECT_EQ(res.corruptions_corrected, 1);
+            got = res.product;
+        }
+        EXPECT_EQ(got, a * b) << engine;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, StructuredEngineSweep,
+    ::testing::Values("lazy", "parallel", "parallel-dfs", "ft-linear",
+                      "ft-poly", "ft-mixed", "ft-multistep", "replication",
+                      "checkpoint", "ft-soft"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+        std::string name = info.param;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
 // ---------------------------------------------------------------------------
 // Randomized fault schedules: for each seed, build a random valid FaultPlan

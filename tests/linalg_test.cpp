@@ -4,7 +4,6 @@
 
 #include "bigint/random.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/vandermonde.hpp"
 
 namespace ftmul {
 namespace {
@@ -135,26 +134,63 @@ TEST(Bareiss, RowSwapFlipsSign) {
     EXPECT_EQ(determinant_bareiss(m), BigInt{-1});
 }
 
-TEST(Vandermonde, StructureAndDeterminant) {
-    std::vector<std::int64_t> etas{0, 1, 2, 3};
-    auto v = vandermonde(etas, 4);
-    EXPECT_EQ(v(0, 0), BigInt{1});
-    EXPECT_EQ(v(2, 3), BigInt{8});
-    // det = prod_{i<j} (eta_j - eta_i) = 1*2*3 * 1*2 * 1 = 12
-    EXPECT_EQ(determinant_bareiss(v), BigInt{12});
-    EXPECT_TRUE(is_invertible(v));
+TEST(Bareiss, VandermondeDeterminantIsProductOfDifferences) {
+    // det V(eta) = prod_{i<j} (eta_j - eta_i): 12 for nodes 0..3, and
+    // nonzero (invertible) exactly when the nodes are distinct.
+    for (const std::vector<std::int64_t>& etas :
+         {std::vector<std::int64_t>{0, 1, 2, 3},
+          std::vector<std::int64_t>{-2, -1, 1, 3, 5},
+          std::vector<std::int64_t>{4, -7, 0, 9, 2, -3}}) {
+        const std::size_t n = etas.size();
+        Matrix<BigInt> v(n, n);
+        BigInt expect{1};
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+                v(i, j) = BigInt{etas[i]}.pow(j);
+            }
+            for (std::size_t j = i + 1; j < n; ++j) {
+                expect *= BigInt{etas[j] - etas[i]};
+            }
+        }
+        EXPECT_EQ(determinant_bareiss(v), expect);
+        EXPECT_TRUE(is_invertible(v));
+    }
+    Matrix<BigInt> repeated(3, 3);
+    for (std::size_t i = 0; i < 3; ++i) {
+        for (std::size_t j = 0; j < 3; ++j) {
+            repeated(i, j) = BigInt{i == 2 ? 1 : static_cast<std::int64_t>(i) + 1}
+                                 .pow(j);
+        }
+    }
+    EXPECT_EQ(determinant_bareiss(repeated), BigInt{0});
+    EXPECT_FALSE(is_invertible(repeated));
 }
 
-TEST(Vandermonde, SystematicGeneratorShape) {
-    auto g = systematic_vandermonde_generator(3, {1, 2});
-    EXPECT_EQ(g.rows(), 5u);
-    EXPECT_EQ(g.cols(), 3u);
-    // Top block is the identity.
-    for (std::size_t i = 0; i < 3; ++i)
-        for (std::size_t j = 0; j < 3; ++j)
-            EXPECT_EQ(g(i, j), BigInt{i == j ? 1 : 0});
-    // Code rows are Vandermonde.
-    EXPECT_EQ(g(4, 2), BigInt{4});
+TEST(ExactSolve, ColumnCodeMinorsAreInvertible) {
+    // The linear code's recovery solves, for t dead ranks at column
+    // positions p_c, the t x t system M(j, c) = (j + 1)^{p_c}. Every such
+    // generalized Vandermonde minor over positions 0..7 and t <= 4 has
+    // distinct positive nodes and distinct exponents, so it is invertible.
+    std::size_t minors = 0;
+    for (std::uint32_t mask = 1; mask < (1u << 8); ++mask) {
+        const auto t = static_cast<std::size_t>(__builtin_popcount(mask));
+        if (t > 4) continue;
+        std::vector<std::uint64_t> positions;
+        for (std::uint64_t p = 0; p < 8; ++p) {
+            if (mask & (1u << p)) positions.push_back(p);
+        }
+        Matrix<BigRational> m(t, t);
+        for (std::size_t j = 0; j < t; ++j) {
+            for (std::size_t c = 0; c < t; ++c) {
+                m(j, c) = BigRational{
+                    BigInt{static_cast<std::int64_t>(j + 1)}.pow(positions[c])};
+            }
+        }
+        const auto inv = inverse(m);
+        EXPECT_EQ(inv * m, Matrix<BigRational>::identity(t)) << "mask=" << mask;
+        ++minors;
+    }
+    EXPECT_EQ(minors, 8u + 28u + 56u + 70u);
 }
 
 class InverseProperty : public ::testing::TestWithParam<std::size_t> {};

@@ -17,6 +17,7 @@
 #include "bigint/random.hpp"
 #include "core/ft_linear.hpp"
 #include "core/parallel.hpp"
+#include "runtime/collectives.hpp"
 #include "runtime/json.hpp"
 #include "runtime/machine.hpp"
 #include "runtime/report.hpp"
@@ -46,6 +47,12 @@ TEST(EventLog, RecordsPhaseAndMessageEvents) {
     EXPECT_EQ(sends[0].tag, 7);
     EXPECT_EQ(sends[0].words, 3u);
     EXPECT_EQ(sends[0].phase, "work");
+
+    std::set<int> entered;
+    for (const Event& e : log.of_kind(EventKind::PhaseBegin)) {
+        if (e.phase == "work") entered.insert(e.rank);
+    }
+    EXPECT_EQ(entered, (std::set<int>{0, 1}));
 
     const auto recvs = log.of_kind(EventKind::MessageRecv);
     ASSERT_EQ(recvs.size(), 1u);
@@ -121,12 +128,143 @@ TEST(EventLog, ConcurrentRanksGetGapFreeSeqAndPerRankProgramOrder) {
 TEST(EventLog, ClearedBetweenRuns) {
     Machine m(2);
     EventLog& log = m.enable_event_log();
-    m.run([&](Rank& r) { r.phase("first"); });
+    m.run([&](Rank& r) {
+        r.phase("first");
+        if (r.id() == 0) r.send(1, 1, {9});
+        if (r.id() == 1) (void)r.recv(0, 1);
+    });
     const auto n1 = log.size();
     EXPECT_GT(n1, 0u);
+    EXPECT_EQ(log.of_kind(EventKind::MessageSend).size(), 1u);
     m.run([&](Rank& r) { r.phase("second"); });
+    EXPECT_TRUE(log.of_kind(EventKind::MessageSend).empty());
     for (const Event& e : log.events()) {
         EXPECT_NE(e.phase, "first");
+    }
+}
+
+TEST(EventLog, ParallelToomCommunicatesOnlyWithinRows) {
+    // The paper's structural claim (Section 3 / Figure 1): "A BFS step
+    // involves communication only within rows of the grid". Level-0 rows of
+    // the 3x3 grid are {0,1,2}, {3,4,5}, {6,7,8}; level-1 rows are the
+    // column subgroups {c, c+3, c+6}.
+    ParallelConfig cfg;
+    cfg.k = 2;
+    cfg.processors = 9;
+    cfg.digit_bits = 32;
+    cfg.events = true;
+    Rng rng{5};
+    BigInt a = random_bits(rng, 3000), b = random_bits(rng, 3000);
+    auto res = parallel_toom_multiply(a, b, cfg);
+    ASSERT_NE(res.events, nullptr);
+
+    int level0_sends = 0, level1_sends = 0;
+    for (const Event& e : res.events->of_kind(EventKind::MessageSend)) {
+        const bool level0 = e.phase.find("L0") != std::string::npos;
+        const bool level1 = e.phase.find("L1") != std::string::npos;
+        ASSERT_TRUE(level0 || level1) << e.phase;
+        if (level0) {
+            ++level0_sends;
+            EXPECT_EQ(e.rank / 3, e.peer / 3)
+                << e.rank << "->" << e.peer << " in " << e.phase;
+        } else {
+            ++level1_sends;
+            EXPECT_EQ(e.rank % 3, e.peer % 3)
+                << e.rank << "->" << e.peer << " in " << e.phase;
+        }
+    }
+    EXPECT_GT(level0_sends, 0);
+    EXPECT_GT(level1_sends, 0);
+
+    // Every rank walks the same phase skeleton.
+    std::vector<std::set<std::string>> walks(9);
+    for (const Event& e : res.events->of_kind(EventKind::PhaseBegin)) {
+        walks[static_cast<std::size_t>(e.rank)].insert(e.phase);
+    }
+    for (std::size_t r = 0; r < walks.size(); ++r) {
+        EXPECT_EQ(walks[r].count("eval-L0"), 1u) << "rank " << r;
+        EXPECT_EQ(walks[r].count("leaf-mul"), 1u) << "rank " << r;
+    }
+}
+
+struct TrafficCase {
+    const char* name;
+    int k;
+    int P;
+    int dfs_steps;
+    bool fault;
+};
+
+void PrintTo(const TrafficCase& c, std::ostream* os) { *os << c.name; }
+
+class EventLogTraffic : public ::testing::TestWithParam<TrafficCase> {};
+
+TEST_P(EventLogTraffic, SendEventsAddUpToTheChargedTraffic) {
+    // The communication matrices comm_structure prints are built from the
+    // log's MessageSend events; per phase, their count and words must be
+    // exactly the messages and words the cost ledgers charged.
+    const TrafficCase c = GetParam();
+    Rng rng{static_cast<std::uint64_t>(c.P * 10 + c.k)};
+    const BigInt a = random_bits(rng, 4000), b = random_bits(rng, 3500);
+    ParallelConfig base;
+    base.k = c.k;
+    base.processors = c.P;
+    base.digit_bits = 32;
+    base.forced_dfs_steps = c.dfs_steps;
+    base.events = true;
+    RunStats stats;
+    std::shared_ptr<EventLog> log;
+    if (c.fault) {
+        FaultPlan plan;
+        plan.add("eval-L0", 1);
+        plan.add("leaf-mul", c.P - 1);
+        auto res = ft_linear_multiply(a, b, {base, 1}, plan);
+        EXPECT_EQ(res.product, a * b);
+        stats = res.stats;
+        log = res.events;
+    } else {
+        auto res = parallel_toom_multiply(a, b, base);
+        EXPECT_EQ(res.product, a * b);
+        stats = res.stats;
+        log = res.events;
+    }
+    ASSERT_NE(log, nullptr);
+    std::map<std::string, CostCounters> sent;
+    for (const Event& e : log->of_kind(EventKind::MessageSend)) {
+        sent[e.phase].words += e.words;
+        sent[e.phase].msgs += 1;
+    }
+    EXPECT_FALSE(sent.empty());
+    for (const auto& [phase, agg] : stats.per_phase_agg) {
+        EXPECT_EQ(sent[phase].words, agg.words) << c.name << " " << phase;
+        EXPECT_EQ(sent[phase].msgs, agg.msgs) << c.name << " " << phase;
+    }
+    for (const auto& [phase, s] : sent) {
+        EXPECT_EQ(stats.per_phase_agg.count(phase), 1u) << c.name << " " << phase;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Runs, EventLogTraffic,
+    ::testing::Values(TrafficCase{"bfs_k2_P9", 2, 9, -1, false},
+                      TrafficCase{"bfs_k3_P25", 3, 25, -1, false},
+                      TrafficCase{"dfs_k2_P9", 2, 9, 1, false},
+                      TrafficCase{"ft_linear_k2_P9", 2, 9, -1, true}),
+    [](const ::testing::TestParamInfo<TrafficCase>& info) {
+        return std::string(info.param.name);
+    });
+
+TEST(EventLog, CollectivesStayInsideTheirGroup) {
+    Machine m(6);
+    EventLog& log = m.enable_event_log();
+    m.run([&](Rank& r) {
+        Group g = r.id() < 3 ? Group::strided(0, 3) : Group::strided(3, 3);
+        (void)allreduce_sum(r, g, {BigInt{1}}, 4);
+    });
+    const auto sends = log.of_kind(EventKind::MessageSend);
+    EXPECT_FALSE(sends.empty());
+    for (const Event& e : sends) {
+        EXPECT_EQ(e.rank < 3, e.peer < 3) << e.rank << "->" << e.peer;
     }
 }
 
